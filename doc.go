@@ -351,8 +351,10 @@
 // # Fault tolerance
 //
 // A distributed array is as mortal as its least reliable machine —
-// unless its pages live in more than one place. NewReplicatedMap wraps
-// any layout so every page occupies k distinct devices:
+// unless its pages live in more than one place. A PageMap is one
+// immutable placement table — a replica chain per page, primary first —
+// and NewReplicatedMap derives from any layout the table in which every
+// page occupies k distinct devices:
 //
 //	base, _ := oopp.NewPageMap("roundrobin", 4, 4, 4, devices)
 //	pm, _ := oopp.NewReplicatedMap(base, 2)
@@ -381,8 +383,8 @@
 // the first survivor to acting primary), re-seeds each lost replica
 // onto a surviving device's spare page slots — copied device-to-device
 // from the acting primary, never through the client — and atomically
-// re-mints the page map so subsequent operations address only
-// survivors. The FailoverReport says what happened: pages promoted and
+// swaps in an edited clone of the placement table, so subsequent
+// operations address only survivors. The FailoverReport says what happened: pages promoted and
 // re-seeded, pages left degraded (no spare slots to re-seed into — the
 // array still serves, one replica short), and pages lost outright
 // (every replica dead; only then is data gone). Devices provisioned
@@ -396,7 +398,10 @@
 // CheckpointArray streams the geometry and every device's pages into a
 // persistence Store, and after any number of machine deaths
 // RecoverArray reconstructs the array from the store — cold state,
-// full data, on the store's machine. The kill-one-server e2e suite
+// full data, on the store's machine. The checkpoint (like PublishArray)
+// persists the live placement table itself, not a layout name, so an
+// array reopened after a failover or a migration reads its data from
+// the slots it actually lives in. The kill-one-server e2e suite
 // runs both lanes against real processes and a real SIGKILL: with k=2
 // the run completes with zero failed calls and zero data loss.
 //
@@ -409,8 +414,8 @@
 // write fence: a fenced page refuses mutations with a typed error the
 // client parks on and replays after the map flip, reads never block,
 // and the whole array keeps serving throughout. When the copies land,
-// the engine atomically re-mints the page map (its name gains a
-// "+resharded" marker that round-trips through NewPageMap) and retires
+// the engine atomically swaps in an edited clone of the placement table
+// (the same table PublishArray and CheckpointArray persist) and retires
 // the source slots — a client still holding the pre-flip map gets the
 // typed fence error and re-resolves, never a silent write into a dead
 // slot.
@@ -511,9 +516,9 @@
 //   - PFFT: the group of FFT processes jointly computing a 3D transform.
 //   - Address, NameService, Store, Manager: persistent processes with
 //     symbolic addresses.
-//   - ReplicaMap, ReplicatedMap, FailoverReport, CheckpointArray,
-//     RecoverArray: k-way page replication with failover, and
-//     persist-backed cold recovery.
+//   - NewReplicatedMap, FailoverReport, CheckpointArray, RecoverArray:
+//     k-way page replication with failover, and persist-backed cold
+//     recovery.
 //   - Move, DeviceLoad, MigrateReport, RebalanceConfig, JoinNode,
 //     BalancePlan, DrainPlan: the elastic cluster — live page
 //     migration, the load-aware rebalancer, and machine join/drain.

@@ -44,7 +44,7 @@ type Array struct {
 	// operation snapshots the map once (Map) and works against that
 	// snapshot.
 	pmMu sync.RWMutex
-	pm   PageMap
+	pm   *PageMap
 
 	// degraded counts replica writes tolerated against down machines —
 	// see DegradedWrites in replica.go.
@@ -66,7 +66,7 @@ const DefaultWindow = rmi.DefaultWindow
 // NewArray validates geometry and capacity and returns an Array client.
 // Array dims must be multiples of the page dims; every device must have
 // the page dimensions and at least PageMap.PagesPerDevice pages.
-func NewArray(ctx context.Context, storage *BlockStorage, pm PageMap, N1, N2, N3, n1, n2, n3 int) (*Array, error) {
+func NewArray(ctx context.Context, storage *BlockStorage, pm *PageMap, N1, N2, N3, n1, n2, n3 int) (*Array, error) {
 	if N1 <= 0 || N2 <= 0 || N3 <= 0 || n1 <= 0 || n2 <= 0 || n3 <= 0 {
 		return nil, fmt.Errorf("core: invalid array geometry %dx%dx%d pages %dx%dx%d", N1, N2, N3, n1, n2, n3)
 	}
@@ -117,15 +117,17 @@ func (a *Array) Bounds() Domain { return Box(a.n[0], a.n[1], a.n[2]) }
 // Storage returns the underlying block storage.
 func (a *Array) Storage() *BlockStorage { return a.storage }
 
-// Map returns the page map (the current one — Failover re-mints it).
-func (a *Array) Map() PageMap {
+// Map returns the page map (the current one — Failover and MigratePages
+// re-mint it).
+func (a *Array) Map() *PageMap {
 	a.pmMu.RLock()
 	defer a.pmMu.RUnlock()
 	return a.pm
 }
 
-// setMap atomically replaces the page map (Failover's final step).
-func (a *Array) setMap(pm PageMap) {
+// setMap atomically replaces the page map (the final step of Failover
+// and MigratePages).
+func (a *Array) setMap(pm *PageMap) {
 	a.pmMu.Lock()
 	a.pm = pm
 	a.pmMu.Unlock()
@@ -147,20 +149,10 @@ func (a *Array) SetWindow(w int) {
 
 // region is one page overlapped by a domain operation.
 type region struct {
-	addr  PageAddress
-	addrs []PageAddress // full replica chain (primary first); nil on plain maps
+	chain []PageAddress // replica chain, primary first (the map's own storage)
 	box   Domain        // the page's global element box
 	isect Domain        // overlap with the operation's domain
 	full  bool          // the whole page is covered
-}
-
-// replicas returns the region's replica chain — addr alone on plain
-// maps.
-func (r *region) replicas() []PageAddress {
-	if r.addrs != nil {
-		return r.addrs
-	}
-	return []PageAddress{r.addr}
 }
 
 // regions enumerates the pages overlapping dom, with their physical
@@ -171,10 +163,9 @@ func (a *Array) regions(dom Domain) []region {
 }
 
 // regionsOf is regions against an explicit map snapshot, so one
-// operation never mixes pre- and post-failover layouts. Under a
-// ReplicaMap each region carries its whole replica chain.
-func (a *Array) regionsOf(pm PageMap, dom Domain) []region {
-	rm, _ := pm.(ReplicaMap)
+// operation never mixes pre- and post-failover layouts. Each region
+// carries its page's whole replica chain.
+func (a *Array) regionsOf(pm *PageMap, dom Domain) []region {
 	lo1, hi1 := dom.Lo[0]/a.p[0], (dom.Hi[0]-1)/a.p[0]
 	lo2, hi2 := dom.Lo[1]/a.p[1], (dom.Hi[1]-1)/a.p[1]
 	lo3, hi3 := dom.Lo[2]/a.p[2], (dom.Hi[2]-1)/a.p[2]
@@ -191,18 +182,12 @@ func (a *Array) regionsOf(pm PageMap, dom Domain) []region {
 				if isect.Empty() {
 					continue
 				}
-				r := region{
+				out = append(out, region{
+					chain: pm.LocateAll(p1, p2, p3),
 					box:   box,
 					isect: isect,
 					full:  isect.Equal(box),
-				}
-				if rm != nil {
-					r.addrs = rm.LocateAll(p1, p2, p3)
-					r.addr = r.addrs[0]
-				} else {
-					r.addr = pm.Locate(p1, p2, p3)
-				}
-				out = append(out, r)
+				})
 			}
 		}
 	}
@@ -279,9 +264,9 @@ func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error 
 	for done := 0; done < len(regs); done++ {
 		for issued < len(regs) && issued < done+a.window {
 			r := regs[issued]
-			addr, ok := a.pickLive(r.replicas(), nil)
+			addr, ok := a.pickLive(r.chain, nil)
 			if !ok {
-				addr = r.addr
+				addr = r.chain[0]
 			}
 			picked[issued] = addr
 			futs[issued] = a.storage.Device(addr.Device).ReadPageAsync(ctx, addr.Index)
@@ -309,9 +294,9 @@ func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error 
 // synchronously, falling back across the chain on typed machine-down
 // failures.
 func (a *Array) readRegion(ctx context.Context, r region, page *pagedev.ArrayPage, exclude map[int]bool) error {
-	addr, ok := a.pickLive(r.replicas(), exclude)
+	addr, ok := a.pickLive(r.chain, exclude)
 	if !ok {
-		addr = r.addr
+		addr = r.chain[0]
 	}
 	err := a.storage.Device(addr.Device).ReadPage(ctx, page, addr.Index)
 	if err == nil {
@@ -328,7 +313,7 @@ func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, pag
 	if !errors.Is(err, rmi.ErrMachineDown) {
 		return err
 	}
-	for _, addr := range r.replicas() {
+	for _, addr := range r.chain {
 		if addr == failed || !a.machineUp(addr.Device) {
 			continue
 		}
@@ -411,7 +396,7 @@ func (a *Array) Write(ctx context.Context, subarray []float64, dom Domain) error
 }
 
 // writeWith is one Write attempt against an explicit map snapshot.
-func (a *Array) writeWith(ctx context.Context, pm PageMap, subarray []float64, dom Domain) error {
+func (a *Array) writeWith(ctx context.Context, pm *PageMap, subarray []float64, dom Domain) error {
 	regs := a.regionsOf(pm, dom)
 	scratch := pagedev.NewArrayPage(a.p[0], a.p[1], a.p[2])
 
@@ -461,7 +446,7 @@ func (a *Array) writeWith(ctx context.Context, pm PageMap, subarray []float64, d
 	}
 
 	for _, r := range regs {
-		chain := r.replicas()
+		chain := r.chain
 		if r.full {
 			a.copyRegion(subarray, dom, scratch.Data, r, false)
 			if a.pipeline {

@@ -17,41 +17,83 @@ import (
 //
 // PublishArray registers a distributed array as a collection of
 // persistent processes: each storage device is bound at a symbolic
-// address derived from the array's address, and a small ArrayMeta process
-// records the geometry and layout. OpenArray reverses it — resolving the
-// addresses (transparently reactivating passivated devices) and
-// reassembling an Array client. DeactivateArray passivates the whole
-// collection.
+// address derived from the array's address, and a small ArrayMeta
+// process records the geometry and placement table. OpenArray reverses
+// it — resolving the addresses (transparently reactivating passivated
+// devices) and reassembling an Array client. DeactivateArray passivates
+// the whole collection.
 
 // ClassArrayMeta is the registered class of the array descriptor process.
 const ClassArrayMeta = "core.ArrayMeta"
 
-// arrayMeta is the server-side descriptor object. It is Persistable, so a
-// published array can be fully passivated, descriptor included.
+// arrayMeta is the array descriptor: geometry plus the live placement
+// table, so a reopened array addresses exactly the slots its data lives
+// in (after failover and migration too). It is the server-side
+// descriptor object of a published array and the descriptor blob of a
+// checkpoint; it is Persistable, so a published array can be fully
+// passivated, descriptor included.
 type arrayMeta struct {
-	n1, n2, n3 int // array dims
-	p1, p2, p3 int // page dims
-	layout     string
-	devices    int
+	n, p [3]int // array dims, page dims
+	pm   *PageMap
+}
+
+// describe snapshots arr's descriptor.
+func describe(arr *Array) *arrayMeta {
+	return &arrayMeta{n: arr.n, p: arr.p, pm: arr.Map()}
 }
 
 func (m *arrayMeta) encode(e *wire.Encoder) {
-	e.PutInt(m.n1)
-	e.PutInt(m.n2)
-	e.PutInt(m.n3)
-	e.PutInt(m.p1)
-	e.PutInt(m.p2)
-	e.PutInt(m.p3)
-	e.PutString(m.layout)
-	e.PutInt(m.devices)
+	for x := 0; x < 3; x++ {
+		e.PutInt(m.n[x])
+		e.PutInt(m.p[x])
+	}
+	m.pm.encode(e)
 }
 
 func (m *arrayMeta) decode(d *wire.Decoder) error {
-	m.n1, m.n2, m.n3 = d.Int(), d.Int(), d.Int()
-	m.p1, m.p2, m.p3 = d.Int(), d.Int(), d.Int()
-	m.layout = d.String()
-	m.devices = d.Int()
-	return d.Err()
+	for x := 0; x < 3; x++ {
+		m.n[x], m.p[x] = d.Int(), d.Int()
+	}
+	pm, err := decodePageMap(d)
+	if err != nil {
+		return err
+	}
+	for x, g := range [3]int{pm.p1, pm.p2, pm.p3} {
+		if m.p[x] <= 0 || m.n[x] != g*m.p[x] {
+			return fmt.Errorf("core: descriptor of a %v array with %v pages holds a %dx%dx%d page map", m.n, m.p, pm.p1, pm.p2, pm.p3)
+		}
+	}
+	m.pm = pm
+	return nil
+}
+
+// fetchMeta reads the descriptor held by the object at ref.
+func fetchMeta(ctx context.Context, client *rmi.Client, ref rmi.Ref) (*arrayMeta, error) {
+	d, err := client.Call(ctx, ref, "describe", nil)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Release()
+	meta := &arrayMeta{}
+	if err := meta.decode(d); err != nil {
+		return nil, err
+	}
+	return meta, nil
+}
+
+// open reassembles an Array client from a descriptor, attaching storage
+// device i at resolve(i) — the one reopen path behind OpenArray
+// (name-service addresses) and RecoverArray (checkpoint blobs).
+func open(ctx context.Context, client *rmi.Client, meta *arrayMeta, resolve func(i int) (rmi.Ref, error)) (*Array, error) {
+	devices := make([]*pagedev.ArrayDevice, meta.pm.Devices())
+	for i := range devices {
+		ref, err := resolve(i)
+		if err != nil {
+			return nil, err
+		}
+		devices[i] = pagedev.AttachArrayDevice(client, ref, meta.p[0], meta.p[1], meta.p[2])
+	}
+	return NewArray(ctx, NewBlockStorage(devices), meta.pm, meta.n[0], meta.n[1], meta.n[2], meta.p[0], meta.p[1], meta.p[2])
 }
 
 // SaveState implements persist.Persistable.
@@ -93,14 +135,7 @@ func deviceAddr(base persist.Address, i int) persist.Address {
 // descriptor process (created on metaMachine) at base/meta and each
 // storage device at base/dev/<i>.
 func PublishArray(ctx context.Context, mgr *persist.Manager, client *rmi.Client, metaMachine int, base persist.Address, arr *Array) error {
-	N1, N2, N3 := arr.Dims()
-	n1, n2, n3 := arr.PageDims()
-	meta := &arrayMeta{
-		n1: N1, n2: N2, n3: N3,
-		p1: n1, p2: n2, p3: n3,
-		layout:  arr.Map().Name(),
-		devices: arr.Storage().Len(),
-	}
+	meta := describe(arr)
 	metaRef, err := client.New(ctx, metaMachine, ClassArrayMeta, func(e *wire.Encoder) error {
 		meta.encode(e)
 		return nil
@@ -128,28 +163,17 @@ func OpenArray(ctx context.Context, mgr *persist.Manager, client *rmi.Client, ba
 	if err != nil {
 		return nil, fmt.Errorf("core: resolving array descriptor: %w", err)
 	}
-	d, err := client.Call(ctx, metaRef, "describe", nil)
+	meta, err := fetchMeta(ctx, client, metaRef)
 	if err != nil {
 		return nil, err
 	}
-	defer d.Release()
-	meta := &arrayMeta{}
-	if err := meta.decode(d); err != nil {
-		return nil, err
-	}
-	pm, err := NewPageMap(meta.layout, meta.n1/meta.p1, meta.n2/meta.p2, meta.n3/meta.p3, meta.devices)
-	if err != nil {
-		return nil, err
-	}
-	devices := make([]*pagedev.ArrayDevice, meta.devices)
-	for i := range devices {
+	return open(ctx, client, meta, func(i int) (rmi.Ref, error) {
 		ref, err := mgr.Resolve(ctx, deviceAddr(base, i))
 		if err != nil {
-			return nil, fmt.Errorf("core: resolving device %d: %w", i, err)
+			return ref, fmt.Errorf("core: resolving device %d: %w", i, err)
 		}
-		devices[i] = pagedev.AttachArrayDevice(client, ref, meta.p1, meta.p2, meta.p3)
-	}
-	return NewArray(ctx, NewBlockStorage(devices), pm, meta.n1, meta.n2, meta.n3, meta.p1, meta.p2, meta.p3)
+		return ref, nil
+	})
 }
 
 // DeactivateArray passivates every member process of a published array

@@ -45,12 +45,12 @@ func (a *Array) CopyFrom(ctx context.Context, src *Array, dom Domain) error {
 	regIdx := make(map[pair][]int)
 	var order []pair
 	for i, r := range regs {
-		sChain := replicasOf(spm, r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
+		sChain := spm.LocateAll(r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
 		sAddr, ok := src.pickLive(sChain, nil)
 		if !ok {
 			return fmt.Errorf("core: source page %v: no replica left: %w", sChain[0], rmi.ErrMachineDown)
 		}
-		for _, dAddr := range r.replicas() {
+		for _, dAddr := range r.chain {
 			p := pair{dst: dAddr.Device, src: sAddr.Device}
 			if _, seen := groups[p]; !seen {
 				order = append(order, p)

@@ -45,14 +45,14 @@ func (a *Array) batches(regs []region, replicate bool, exclude map[int]bool) (de
 	}
 	for _, r := range regs {
 		if replicate {
-			for _, addr := range r.replicas() {
+			for _, addr := range r.chain {
 				add(addr, r)
 			}
 			continue
 		}
-		addr, ok := a.pickLive(r.replicas(), exclude)
+		addr, ok := a.pickLive(r.chain, exclude)
 		if !ok {
-			return nil, nil, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.addr, rmi.ErrMachineDown)
+			return nil, nil, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.chain[0], rmi.ErrMachineDown)
 		}
 		add(addr, r)
 	}
@@ -172,7 +172,7 @@ func (a *Array) reduce(ctx context.Context, dom Domain, name string, params ...f
 	if len(regs) == 0 {
 		return k.NewAcc(params), 0, nil
 	}
-	replicas := replicaCount(a.Map())
+	replicas := a.Map().Replicas()
 	exclude := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
 		devs, byDev, berr := a.batches(regs, false, exclude)
@@ -249,7 +249,7 @@ func (a *Array) binaryBatches(b *Array, regs []region, replicate bool, exclude m
 		out[s].regions = append(out[s].regions, breg)
 	}
 	for _, r := range regs {
-		bChain := replicasOf(bpm, r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
+		bChain := bpm.LocateAll(r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
 		bAddr, ok := b.pickLive(bChain, nil)
 		if !ok {
 			return nil, nil, fmt.Errorf("core: operand page %v: no replica left: %w", bChain[0], rmi.ErrMachineDown)
@@ -260,14 +260,14 @@ func (a *Array) binaryBatches(b *Array, regs []region, replicate bool, exclude m
 			PeerIndex: bAddr.Index,
 		}
 		if replicate {
-			for _, addr := range r.replicas() {
+			for _, addr := range r.chain {
 				add(addr, breg)
 			}
 			continue
 		}
-		addr, ok := a.pickLive(r.replicas(), exclude)
+		addr, ok := a.pickLive(r.chain, exclude)
 		if !ok {
-			return nil, nil, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.addr, rmi.ErrMachineDown)
+			return nil, nil, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.chain[0], rmi.ErrMachineDown)
 		}
 		add(addr, breg)
 	}
@@ -353,7 +353,7 @@ func (a *Array) ReduceBinary(ctx context.Context, dom Domain, name string, b *Ar
 	if len(regs) == 0 {
 		return k.NewAcc(params), 0, nil
 	}
-	replicas := replicaCount(a.Map())
+	replicas := a.Map().Replicas()
 	exclude := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
 		devs, byDev, berr := a.binaryBatches(b, regs, false, exclude)

@@ -10,9 +10,9 @@ package core
 //	                   are refused typed (rmi.ErrFenced); reads flow
 //	copy src → dst   → the fenced pages are an immutable snapshot, so
 //	                   the device-to-device pull needs no quiescing
-//	flip the map     → a re-minted table map (name suffix "+resharded")
-//	                   atomically replaces the layout; new operations
-//	                   address the destinations
+//	flip the map     → an edited clone of the placement table atomically
+//	                   replaces the layout; new operations address the
+//	                   destinations
 //	adopt / retire   → destination accounting (adoptPages), then the
 //	                   sources release their held-pages gauge but KEEP
 //	                   their fence entries, so clients still holding the
@@ -74,33 +74,6 @@ type relocation struct {
 	src, dst PageAddress
 }
 
-// pageTable snapshots pm's full replica-chain table, one mutable chain
-// per linear page.
-func (a *Array) pageTable(pm PageMap) [][]PageAddress {
-	table := make([][]PageAddress, a.g[0]*a.g[1]*a.g[2])
-	for p1 := 0; p1 < a.g[0]; p1++ {
-		for p2 := 0; p2 < a.g[1]; p2++ {
-			for p3 := 0; p3 < a.g[2]; p3++ {
-				l := (p1*a.g[1]+p2)*a.g[2] + p3
-				table[l] = append([]PageAddress(nil), replicasOf(pm, p1, p2, p3)...)
-			}
-		}
-	}
-	return table
-}
-
-// reshardName marks a layout as table-minted by migration. The marker is
-// idempotent — repeated rebalances don't grow the name — and NewPageMap
-// round-trips it (pagemap.go's mutation-suffix grammar), so a published
-// resharded array still reopens by name with its nominal layout.
-func reshardName(name string) string {
-	const suffix = "+resharded"
-	if len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix {
-		return name
-	}
-	return name + suffix
-}
-
 // MigratePages executes a move plan: for each Move it picks movable
 // copies on the From device (ones whose chain does not already touch
 // To), fences them, copies them device-to-device, flips the map, and
@@ -124,7 +97,7 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 			return rep, fmt.Errorf("core: migrate: bad move %+v over %d devices", mv, D)
 		}
 	}
-	table := a.pageTable(pm)
+	table := pm.editChains()
 
 	// Occupancy per device from the table; everything else in
 	// [0, NumPages) is allocatable — including slots retired by earlier
@@ -296,22 +269,7 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	for _, rl := range relocs {
 		moved[rl.src] = rl.dst
 	}
-	ppd := pm.PagesPerDevice()
-	for _, chain := range table {
-		for _, addr := range chain {
-			if addr.Index+1 > ppd {
-				ppd = addr.Index + 1
-			}
-		}
-	}
-	a.setMap(&remintedMap{
-		grid:  grid{a.g[0], a.g[1], a.g[2], D},
-		k:     replicaCount(pm),
-		ppd:   ppd,
-		name:  reshardName(pm.Name()),
-		table: table,
-		moved: moved,
-	})
+	a.setMap(pm.edited(D, table, "+resharded", moved))
 
 	// Settle the gauges: destinations adopt, sources retire (the fence
 	// entries persist — see the package comment in pagedev/fence.go).
@@ -353,10 +311,9 @@ type RebalanceReport struct {
 // deviceLoads observes the planner's input: per-device page occupancy
 // from the current map and the served-I/O gauge from each device.
 func (a *Array) deviceLoads(ctx context.Context) ([]elastic.DeviceLoad, error) {
-	pm := a.Map()
 	D := a.storage.Len()
 	pages := make([]int, D)
-	for _, chain := range a.pageTable(pm) {
+	for _, chain := range a.Map().chains {
 		for _, addr := range chain {
 			if addr.Device >= 0 && addr.Device < D {
 				pages[addr.Device]++
@@ -457,7 +414,7 @@ func (a *Array) DrainMachine(ctx context.Context, m int) (*MigrateReport, error)
 	// Placement constraints (a chain spanning every device) can leave
 	// copies behind even when capacity was fine: a drain must be
 	// complete or report failure.
-	for _, chain := range a.pageTable(a.Map()) {
+	for _, chain := range a.Map().chains {
 		for _, addr := range chain {
 			if onM[addr.Device] {
 				return total, fmt.Errorf("core: drain machine %d: page copy %v could not be moved (chain spans every surviving device?)", m, addr)
@@ -491,7 +448,7 @@ func allFenced(err error) bool {
 // the migration that fenced our pages has flipped — or the bounded wait
 // expires (a foreign client's migration never flips our map; its fence
 // errors stay typed for the caller).
-func (a *Array) waitMapFlip(ctx context.Context, old PageMap) (PageMap, error) {
+func (a *Array) waitMapFlip(ctx context.Context, old *PageMap) (*PageMap, error) {
 	deadline := time.Now().Add(fenceFlipWait)
 	for {
 		if pm := a.Map(); pm != old {
@@ -512,11 +469,9 @@ func (a *Array) waitMapFlip(ctx context.Context, old PageMap) (PageMap, error) {
 // replayed. Addresses the migration didn't touch map to themselves
 // (their batch was refused because a *neighbor* in it was fenced — the
 // copy stayed put and still needs the work).
-func relocatedAddr(pm PageMap, addr PageAddress) PageAddress {
-	if rm, ok := pm.(*remintedMap); ok && rm.moved != nil {
-		if dst, ok := rm.moved[addr]; ok {
-			return dst
-		}
+func relocatedAddr(pm *PageMap, addr PageAddress) PageAddress {
+	if dst, ok := pm.moved[addr]; ok {
+		return dst
 	}
 	return addr
 }
@@ -526,7 +481,7 @@ func relocatedAddr(pm PageMap, addr PageAddress) PageAddress {
 // at its copy's new address. Refusal is all-or-nothing per device
 // (pagedev's fence pre-scan), so replaying exactly the refused batches
 // applies each kernel exactly once.
-func relocateKernelBatches(pm PageMap, failed []int, byDev map[int][]pagedev.KernelRegion) ([]int, map[int][]pagedev.KernelRegion) {
+func relocateKernelBatches(pm *PageMap, failed []int, byDev map[int][]pagedev.KernelRegion) ([]int, map[int][]pagedev.KernelRegion) {
 	nb := make(map[int][]pagedev.KernelRegion)
 	var devs []int
 	for _, dev := range failed {
@@ -544,7 +499,7 @@ func relocateKernelBatches(pm PageMap, failed []int, byDev map[int][]pagedev.Ker
 // relocateBinaryBatches is relocateKernelBatches for two-operand
 // batches; the peer (read-side) half is never fenced and rides along
 // unchanged.
-func relocateBinaryBatches(pm PageMap, failed []int, byDev map[int][]pagedev.BinaryRegion) ([]int, map[int][]pagedev.BinaryRegion) {
+func relocateBinaryBatches(pm *PageMap, failed []int, byDev map[int][]pagedev.BinaryRegion) ([]int, map[int][]pagedev.BinaryRegion) {
 	nb := make(map[int][]pagedev.BinaryRegion)
 	var devs []int
 	for _, dev := range failed {

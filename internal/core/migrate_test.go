@@ -22,12 +22,8 @@ func devicePages(t *testing.T, arr *core.Array) map[int]int {
 	for p1 := 0; p1 < P1; p1++ {
 		for p2 := 0; p2 < P2; p2++ {
 			for p3 := 0; p3 < P3; p3++ {
-				if rm, ok := pm.(core.ReplicaMap); ok {
-					for _, addr := range rm.LocateAll(p1, p2, p3) {
-						pages[addr.Device]++
-					}
-				} else {
-					pages[pm.Locate(p1, p2, p3).Device]++
+				for _, addr := range pm.LocateAll(p1, p2, p3) {
+					pages[addr.Device]++
 				}
 			}
 		}

@@ -2,13 +2,16 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"oopp/internal/wire"
 )
 
-func allMaps(t *testing.T, p1, p2, p3, devices int) []PageMap {
+func allMaps(t *testing.T, p1, p2, p3, devices int) []*PageMap {
 	t.Helper()
-	maps := make([]PageMap, 0, 4)
+	maps := make([]*PageMap, 0, 4)
 	for _, name := range PageMapNames() {
 		m, err := NewPageMap(name, p1, p2, p3, devices)
 		if err != nil {
@@ -21,7 +24,7 @@ func allMaps(t *testing.T, p1, p2, p3, devices int) []PageMap {
 
 // checkMapInvariants verifies the PageMap contract: total, injective,
 // within bounds.
-func checkMapInvariants(m PageMap, p1, p2, p3 int) error {
+func checkMapInvariants(m *PageMap, p1, p2, p3 int) error {
 	seen := make(map[PageAddress]bool)
 	for i := 0; i < p1; i++ {
 		for j := 0; j < p2; j++ {
@@ -217,67 +220,84 @@ func TestPageMapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMutatedNameRoundTrip extends the round-trip contract to runtime-
-// mutated names: every composition of base layout, "+r<k>" replication,
-// and trailing "+failover"/"+resharded" markers (single, repeated, and
-// interleaved) reconstructs via NewPageMap with the full name preserved,
-// every page located in bounds, and the ReplicaMap surface intact when
-// the nominal layout is replicated.
-func TestMutatedNameRoundTrip(t *testing.T) {
+// TestDescriptorRoundTrip pins the persisted form of an array: the
+// descriptor carries the whole placement table, so every layout — base,
+// replicated, and tables edited the way Failover (shortened and
+// re-seeded chains) and MigratePages (relocated copies) edit them —
+// decodes to the identical map: same name, devices, k, capacity, and
+// chain for every page. Corrupt descriptors are refused, not guessed.
+func TestDescriptorRoundTrip(t *testing.T) {
 	const p1, p2, p3, devices = 3, 5, 7, 4
-	suffixes := []string{
-		"+failover",
-		"+resharded",
-		"+resharded+resharded",
-		"+failover+resharded",
-		"+resharded+failover",
-		"+failover+resharded+failover",
-	}
-	var names []string
-	for _, base := range PageMapNames() {
-		for _, nominal := range []string{base, base + "+r2"} {
-			for _, suf := range suffixes {
-				names = append(names, nominal+suf)
-			}
-		}
-	}
-	for _, name := range names {
-		m, err := NewPageMap(name, p1, p2, p3, devices)
+	const page = 2
+	var maps []*PageMap
+	for _, base := range allMaps(t, p1, p2, p3, devices) {
+		rm, err := NewReplicatedMap(base, 2)
 		if err != nil {
-			t.Fatalf("NewPageMap(%q): %v", name, err)
+			t.Fatalf("replicate %s: %v", base.Name(), err)
 		}
-		if m.Name() != name {
-			t.Errorf("map %q round-trips as %q", name, m.Name())
-		}
-		if err := checkMapInvariants(m, p1, p2, p3); err != nil {
-			t.Errorf("%q: %v", name, err)
-		}
-		nominal, mutated := splitMutationSuffix(name)
-		if !mutated {
-			t.Fatalf("%q: mutation suffix not detected", name)
-		}
-		_, k, _ := parseReplicaSuffix(nominal)
-		if got := replicaCount(m); got != k {
-			t.Errorf("%q: replicaCount = %d, want %d", name, got, k)
-		}
-		if k > 1 {
-			rm, ok := m.(ReplicaMap)
-			if !ok {
-				t.Fatalf("%q: replicated nominal lost ReplicaMap surface", name)
+		// A failover-style edit: device 1 dropped from every chain, its
+		// copies re-seeded past the nominal capacity.
+		failed := rm.editChains()
+		next := rm.PagesPerDevice()
+		for l, chain := range failed {
+			live := chain[:0]
+			for _, addr := range chain {
+				if addr.Device != 1 {
+					live = append(live, addr)
+				}
 			}
-			if chain := rm.LocateAll(1, 2, 3); len(chain) != k || chain[0] != m.Locate(1, 2, 3) {
-				t.Errorf("%q: LocateAll chain %v inconsistent with Locate", name, chain)
+			if len(live) < len(chain) {
+				live = append(live, PageAddress{Device: (chain[0].Device + 2) % devices, Index: next})
+				next++
+			}
+			failed[l] = live
+		}
+		// A migration-style edit: page 0's primary relocates.
+		moved := base.editChains()
+		dst := PageAddress{Device: (moved[0][0].Device + 1) % devices, Index: base.PagesPerDevice()}
+		moved[0][0] = dst
+		maps = append(maps, base, rm,
+			rm.edited(devices, failed, "+failover", nil),
+			base.edited(devices, moved, "+resharded", map[PageAddress]PageAddress{base.chains[0][0]: dst}))
+	}
+	for _, pm := range maps {
+		e := wire.NewEncoder(64)
+		meta := &arrayMeta{n: [3]int{p1 * page, p2 * page, p3 * page}, p: [3]int{page, page, page}, pm: pm}
+		meta.encode(e)
+		got := &arrayMeta{}
+		if err := got.decode(wire.NewDecoder(e.Bytes())); err != nil {
+			t.Fatalf("%s: decode: %v", pm.Name(), err)
+		}
+		q := got.pm
+		if got.n != meta.n || got.p != meta.p || q.Name() != pm.Name() || q.Devices() != pm.Devices() ||
+			q.Replicas() != pm.Replicas() || q.PagesPerDevice() != pm.PagesPerDevice() {
+			t.Fatalf("%s: descriptor %v/%v %q d=%d k=%d ppd=%d, want %v/%v %q d=%d k=%d ppd=%d", pm.Name(),
+				got.n, got.p, q.Name(), q.Devices(), q.Replicas(), q.PagesPerDevice(),
+				meta.n, meta.p, pm.Name(), pm.Devices(), pm.Replicas(), pm.PagesPerDevice())
+		}
+		for i := 0; i < p1; i++ {
+			for j := 0; j < p2; j++ {
+				for k := 0; k < p3; k++ {
+					if a, b := q.LocateAll(i, j, k), pm.LocateAll(i, j, k); !slices.Equal(a, b) {
+						t.Fatalf("%s: page (%d,%d,%d) reopens at %v, lives at %v", pm.Name(), i, j, k, a, b)
+					}
+				}
 			}
 		}
-	}
-
-	// A mutated name still rejects unknown nominal layouts, and the
-	// marker must be a suffix, not an infix the parser scrambles on.
-	if _, err := NewPageMap("mystery+failover", 2, 2, 2, 2); err == nil {
-		t.Error("unknown nominal layout accepted under +failover")
-	}
-	if m, err := NewPageMap("striped", 2, 2, 2, 2); err != nil || m.Name() != "striped" {
-		t.Errorf("unmutated name disturbed: %v, %v", m, err)
+		// Truncation anywhere, or an array grid disagreeing with the
+		// table, must fail the decode.
+		raw := e.Bytes()
+		for _, cut := range []int{len(raw) / 3, len(raw) - 1} {
+			if err := (&arrayMeta{}).decode(wire.NewDecoder(raw[:cut])); err == nil {
+				t.Fatalf("%s: descriptor truncated to %d of %d bytes accepted", pm.Name(), cut, len(raw))
+			}
+		}
+		e.Reset()
+		meta.n[0] += page
+		meta.encode(e)
+		if err := (&arrayMeta{}).decode(wire.NewDecoder(e.Bytes())); err == nil {
+			t.Fatalf("%s: descriptor with mismatched grid accepted", pm.Name())
+		}
 	}
 }
 

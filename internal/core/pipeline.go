@@ -56,7 +56,7 @@ func (a *Array) pipeBatches(operands []*Array, regs []region, mutates bool, excl
 		if len(operands) > 0 {
 			peers = make([]pagedev.PipePeer, len(operands))
 			for i, b := range operands {
-				bChain := replicasOf(b.Map(), r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
+				bChain := b.Map().LocateAll(r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
 				bAddr, ok := b.pickLive(bChain, nil)
 				if !ok {
 					return nil, nil, fmt.Errorf("core: operand page %v: no replica left: %w", bChain[0], rmi.ErrMachineDown)
@@ -66,21 +66,20 @@ func (a *Array) pipeBatches(operands []*Array, regs []region, mutates bool, excl
 		}
 		pr := pagedev.PipeRegion{Box: subBoxFor(r), Peers: peers}
 		if mutates {
-			chain := r.replicas()
-			foldAddr, ok := a.pickLive(chain, nil)
+			foldAddr, ok := a.pickLive(r.chain, nil)
 			if !ok {
-				return nil, nil, fmt.Errorf("core: page %v: no replica left: %w", r.addr, rmi.ErrMachineDown)
+				return nil, nil, fmt.Errorf("core: page %v: no replica left: %w", r.chain[0], rmi.ErrMachineDown)
 			}
-			for _, addr := range chain {
+			for _, addr := range r.chain {
 				p := pr
 				p.Fold = addr == foldAddr
 				add(addr, p)
 			}
 			continue
 		}
-		addr, ok := a.pickLive(r.replicas(), exclude)
+		addr, ok := a.pickLive(r.chain, exclude)
 		if !ok {
-			return nil, nil, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.addr, rmi.ErrMachineDown)
+			return nil, nil, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.chain[0], rmi.ErrMachineDown)
 		}
 		pr.Fold = true
 		add(addr, pr)
@@ -93,7 +92,7 @@ func (a *Array) pipeBatches(operands []*Array, regs []region, mutates bool, excl
 // and peer operands riding along unchanged (a fenced device folded
 // nothing — refusal is all-or-nothing — so replaying the identical
 // regions keeps both the mutations and the partials exactly-once).
-func relocatePipeBatches(pm PageMap, failed []int, byDev map[int][]pagedev.PipeRegion) ([]int, map[int][]pagedev.PipeRegion) {
+func relocatePipeBatches(pm *PageMap, failed []int, byDev map[int][]pagedev.PipeRegion) ([]int, map[int][]pagedev.PipeRegion) {
 	nb := make(map[int][]pagedev.PipeRegion)
 	var devs []int
 	for _, dev := range failed {
@@ -252,7 +251,7 @@ func (a *Array) applyPipeline(ctx context.Context, dom Domain, name string, oper
 	if len(regs) == 0 {
 		return results(nil), nil
 	}
-	replicas := replicaCount(a.Map())
+	replicas := a.Map().Replicas()
 	exclude := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
 		devs, byDev, berr := a.pipeBatches(operands, regs, false, exclude)

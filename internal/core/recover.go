@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 
-	"oopp/internal/pagedev"
 	"oopp/internal/persist"
 	"oopp/internal/rmi"
 	"oopp/internal/trace"
@@ -29,10 +28,10 @@ func checkpointMetaName(name string) string { return name + "/meta" }
 func checkpointDevName(name string, i int) string { return fmt.Sprintf("%s/dev/%d", name, i) }
 
 // CheckpointArray saves a consistent snapshot of arr under name in store
-// — a descriptor blob (geometry + layout) plus one blob per storage
-// device. Each device serializes itself inside its serial mailbox, so
-// every page snapshot is atomic with respect to concurrent operations on
-// that device; the devices stay live throughout. Run it at a quiescent
+// — a descriptor blob (geometry + placement table) plus one blob per
+// storage device. Each device serializes itself inside its serial
+// mailbox, so every page snapshot is atomic with respect to concurrent
+// operations on that device; the devices stay live throughout. Run it at a quiescent
 // point (after Barrier) if the snapshot must be consistent *across*
 // devices. The store should live on a machine the array does not — a
 // checkpoint on the array's own machine dies with it.
@@ -44,16 +43,8 @@ func CheckpointArray(ctx context.Context, arr *Array, store *persist.Store, name
 }
 
 func checkpointArray(ctx context.Context, arr *Array, store *persist.Store, name string) error {
-	N1, N2, N3 := arr.Dims()
-	p1, p2, p3 := arr.PageDims()
-	meta := &arrayMeta{
-		n1: N1, n2: N2, n3: N3,
-		p1: p1, p2: p2, p3: p3,
-		layout:  arr.Map().Name(),
-		devices: arr.Storage().Len(),
-	}
 	e := wire.NewEncoder(64)
-	meta.encode(e)
+	describe(arr).encode(e)
 	if err := store.Put(ctx, checkpointMetaName(name), ClassArrayMeta, e.Bytes()); err != nil {
 		return fmt.Errorf("core: checkpointing descriptor: %w", err)
 	}
@@ -96,30 +87,18 @@ func recoverArray(ctx context.Context, client *rmi.Client, store *persist.Store,
 	if err != nil {
 		return nil, fmt.Errorf("core: recovering descriptor: %w", err)
 	}
-	d, err := client.Call(ctx, metaRef, "describe", nil)
-	if err != nil {
-		return nil, err
-	}
-	meta := &arrayMeta{}
-	derr := meta.decode(d)
-	d.Release()
+	meta, err := fetchMeta(ctx, client, metaRef)
 	_ = client.Delete(ctx, metaRef) // transient: only needed for describe
-	if derr != nil {
-		return nil, derr
-	}
-	pm, err := NewPageMap(meta.layout, meta.n1/meta.p1, meta.n2/meta.p2, meta.n3/meta.p3, meta.devices)
 	if err != nil {
 		return nil, err
 	}
-	devices := make([]*pagedev.ArrayDevice, meta.devices)
-	for i := range devices {
+	return open(ctx, client, meta, func(i int) (rmi.Ref, error) {
 		ref, err := store.Activate(ctx, checkpointDevName(name, i))
 		if err != nil {
-			return nil, fmt.Errorf("core: recovering device %d: %w", i, err)
+			return ref, fmt.Errorf("core: recovering device %d: %w", i, err)
 		}
-		devices[i] = pagedev.AttachArrayDevice(client, ref, meta.p1, meta.p2, meta.p3)
-	}
-	return NewArray(ctx, NewBlockStorage(devices), pm, meta.n1, meta.n2, meta.n3, meta.p1, meta.p2, meta.p3)
+		return ref, nil
+	})
 }
 
 // RemoveCheckpoint discards the blobs of a checkpoint (descriptor and

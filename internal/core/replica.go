@@ -4,12 +4,11 @@ package core
 // item 2, the data-intensive reading of the paper's persistent-process
 // §5: a page is no longer "as durable as the one device that owns it".
 //
-// A ReplicatedMap wraps any base PageMap and places replica r of the
-// page at base address (d, i) on device (d+r) mod D, at page index
-// r·basePPD + i — each device's page space is split into k banks, bank
-// r holding its rotation-r replicas. The layout stays injective, every
-// device carries the same page count (balanced capacity overhead of
-// exactly k×), and replica sets never share a device when k ≤ D.
+// NewReplicatedMap (pagemap.go) fills a placement table whose chains
+// hold k copies of every page, rotated across devices into k banks; the
+// layout stays injective, every device carries the same page count
+// (balanced capacity overhead of exactly k×), and replica sets never
+// share a device when k ≤ D.
 //
 // Write semantics ("primary-ack"): mutating operations fan out to the
 // whole replica set through the same windowed pipelines the
@@ -41,146 +40,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
 	"oopp/internal/trace"
 )
-
-// ReplicaMap is a PageMap that places each page on a *set* of devices.
-// Locate returns the primary; LocateAll returns the full replica chain,
-// primary first. Replicas reports the nominal replication factor k
-// (chains may be shorter after failover).
-type ReplicaMap interface {
-	PageMap
-	Replicas() int
-	LocateAll(p1, p2, p3 int) []PageAddress
-}
-
-// ReplicatedMap wraps a base layout with k-way replication: replica r
-// of the page at base address (d, i) lives on device (d+r) mod D at
-// page index r·basePPD + i (bank r of the device). PagesPerDevice is
-// k times the base map's.
-type ReplicatedMap struct {
-	base PageMap
-	k    int
-}
-
-// NewReplicatedMap builds the k-way replicated layout over base.
-// k must be in [1, base.Devices()]: more replicas than devices would
-// put two copies of a page on one device, which survives nothing.
-func NewReplicatedMap(base PageMap, k int) (*ReplicatedMap, error) {
-	if base == nil {
-		return nil, fmt.Errorf("core: replicated map needs a base layout")
-	}
-	if k < 1 || k > base.Devices() {
-		return nil, fmt.Errorf("core: replication factor %d outside [1,%d devices]", k, base.Devices())
-	}
-	return &ReplicatedMap{base: base, k: k}, nil
-}
-
-// Base returns the wrapped layout.
-func (m *ReplicatedMap) Base() PageMap { return m.base }
-
-// Replicas returns the replication factor k.
-func (m *ReplicatedMap) Replicas() int { return m.k }
-
-// Locate returns the primary (bank-0) address — the base layout's.
-func (m *ReplicatedMap) Locate(p1, p2, p3 int) PageAddress {
-	return m.base.Locate(p1, p2, p3)
-}
-
-// LocateAll returns the replica chain, primary first.
-func (m *ReplicatedMap) LocateAll(p1, p2, p3 int) []PageAddress {
-	a0 := m.base.Locate(p1, p2, p3)
-	d := m.base.Devices()
-	ppd := m.base.PagesPerDevice()
-	out := make([]PageAddress, m.k)
-	for r := 0; r < m.k; r++ {
-		out[r] = PageAddress{Device: (a0.Device + r) % d, Index: r*ppd + a0.Index}
-	}
-	return out
-}
-
-// Devices returns the base device count (replication adds no devices).
-func (m *ReplicatedMap) Devices() int { return m.base.Devices() }
-
-// PagesPerDevice returns k banks of the base capacity.
-func (m *ReplicatedMap) PagesPerDevice() int { return m.k * m.base.PagesPerDevice() }
-
-// Name renders "<base>+r<k>"; NewPageMap parses it back, so published
-// replicated arrays reopen with their replication factor intact.
-func (m *ReplicatedMap) Name() string {
-	if m.k == 1 {
-		return m.base.Name()
-	}
-	return fmt.Sprintf("%s+r%d", m.base.Name(), m.k)
-}
-
-// parseReplicaSuffix splits "striped+r2" into ("striped", 2, true).
-func parseReplicaSuffix(name string) (base string, k int, ok bool) {
-	i := strings.LastIndex(name, "+r")
-	if i < 0 {
-		return name, 1, false
-	}
-	n, err := strconv.Atoi(name[i+2:])
-	if err != nil || n < 1 {
-		return name, 1, false
-	}
-	return name[:i], n, true
-}
-
-// remintedMap is the explicit post-failover layout: a per-page table of
-// live replica chains (acting primary first). It is produced by
-// Array.Failover — dead devices dropped, re-seeded replicas appended —
-// and never constructed by name.
-type remintedMap struct {
-	grid
-	k    int // nominal replication factor
-	ppd  int // capacity requirement inherited from the pre-failover map
-	name string
-	// table[l] is the live chain of linear page l. A page whose whole
-	// chain died keeps its pre-failover chain so operations against it
-	// fail typed (ErrMachineDown) instead of panicking.
-	table [][]PageAddress
-	// moved maps each migrated copy's pre-flip address to its new home
-	// (migration mints only; nil after failover). The park-and-replay
-	// path uses it to re-aim work a fence refused — see relocatedAddr
-	// in migrate.go.
-	moved map[PageAddress]PageAddress
-}
-
-func (m *remintedMap) Locate(p1, p2, p3 int) PageAddress {
-	return m.table[m.linear(p1, p2, p3)][0]
-}
-
-func (m *remintedMap) LocateAll(p1, p2, p3 int) []PageAddress {
-	return m.table[m.linear(p1, p2, p3)]
-}
-
-func (m *remintedMap) Devices() int        { return m.devices }
-func (m *remintedMap) PagesPerDevice() int { return m.ppd }
-func (m *remintedMap) Replicas() int       { return m.k }
-func (m *remintedMap) Name() string        { return m.name }
-
-// replicasOf returns pm's replica chain for a page — a single-element
-// chain for plain maps.
-func replicasOf(pm PageMap, p1, p2, p3 int) []PageAddress {
-	if rm, ok := pm.(ReplicaMap); ok {
-		return rm.LocateAll(p1, p2, p3)
-	}
-	return []PageAddress{pm.Locate(p1, p2, p3)}
-}
-
-// replicaCount returns pm's nominal replication factor.
-func replicaCount(pm PageMap) int {
-	if rm, ok := pm.(ReplicaMap); ok {
-		return rm.Replicas()
-	}
-	return 1
-}
 
 // allMachineDown reports whether every leaf failure in err (an
 // errors.Join tree of MemberErrors, or a single wrapped error) is the
@@ -263,7 +127,7 @@ func (a *Array) coverDown(err error, regs []region, downDevs map[int]bool) error
 	for _, r := range regs {
 		covered := false
 		n := 0
-		for _, addr := range r.replicas() {
+		for _, addr := range r.chain {
 			if downDevs[addr.Device] {
 				n++
 			} else {
@@ -342,7 +206,6 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 	if len(deadDevs) == 0 {
 		return rep, nil
 	}
-	k := replicaCount(pm)
 	need := pm.PagesPerDevice()
 
 	// Spare capacity per surviving device: page slots past the map's
@@ -367,43 +230,36 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 		dst, src PageAddress
 	}
 	var seeds []seed
-	table := make([][]PageAddress, a.g[0]*a.g[1]*a.g[2])
-	for p1 := 0; p1 < a.g[0]; p1++ {
-		for p2 := 0; p2 < a.g[1]; p2++ {
-			for p3 := 0; p3 < a.g[2]; p3++ {
-				l := (p1*a.g[1]+p2)*a.g[2] + p3
-				chain := replicasOf(pm, p1, p2, p3)
-				live := make([]PageAddress, 0, len(chain))
-				for _, addr := range chain {
-					if !deadDevs[addr.Device] {
-						live = append(live, addr)
-					}
-				}
-				if len(live) == 0 {
-					rep.Lost = append(rep.Lost, l)
-					table[l] = chain // keep failing typed, not by panic
-					continue
-				}
-				if live[0] != chain[0] {
-					rep.Promoted++
-				}
-				// Re-seed each lost replica onto the next device in the
-				// rotation order that is alive, holds no copy of this
-				// page, and has a spare slot.
-				lost := len(chain) - len(live)
-				for n := 0; n < lost; n++ {
-					dst, ok := a.spareSlot(live, chain, deadDevs, nextFree, capacity)
-					if !ok {
-						rep.Degraded++
-						break
-					}
-					seeds = append(seeds, seed{dst: dst, src: live[0]})
-					live = append(live, dst)
-					rep.Reseeded++
-				}
-				table[l] = live
+	table := pm.editChains()
+	for l, chain := range table {
+		live := make([]PageAddress, 0, len(chain))
+		for _, addr := range chain {
+			if !deadDevs[addr.Device] {
+				live = append(live, addr)
 			}
 		}
+		if len(live) == 0 {
+			rep.Lost = append(rep.Lost, l) // chain kept: keeps failing typed
+			continue
+		}
+		if live[0] != chain[0] {
+			rep.Promoted++
+		}
+		// Re-seed each lost replica onto the next device in the rotation
+		// order that is alive, holds no copy of this page, and has a
+		// spare slot.
+		lost := len(chain) - len(live)
+		for n := 0; n < lost; n++ {
+			dst, ok := a.spareSlot(live, chain, deadDevs, nextFree, capacity)
+			if !ok {
+				rep.Degraded++
+				break
+			}
+			seeds = append(seeds, seed{dst: dst, src: live[0]})
+			live = append(live, dst)
+			rep.Reseeded++
+		}
+		table[l] = live
 	}
 
 	// Ship the re-seeds device-to-device: each destination pulls whole
@@ -442,13 +298,7 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 	}
 
 	sort.Ints(rep.Lost)
-	a.setMap(&remintedMap{
-		grid:  grid{a.g[0], a.g[1], a.g[2], a.storage.Len()},
-		k:     k,
-		ppd:   need,
-		name:  pm.Name() + "+failover",
-		table: table,
-	})
+	a.setMap(pm.edited(a.storage.Len(), table, "+failover", nil))
 	return rep, nil
 }
 

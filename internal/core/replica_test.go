@@ -13,8 +13,9 @@ import (
 )
 
 // TestReplicatedMapGeometry pins the bank layout: replica sets never
-// share a device, addresses stay injective, capacity scales by k, and
-// the name grammar round-trips through NewPageMap.
+// share a device, addresses stay injective, and capacity scales by k.
+// (Reopening a replicated array round-trips its table through the
+// descriptor: TestDescriptorRoundTrip.)
 func TestReplicatedMapGeometry(t *testing.T) {
 	for _, layout := range core.PageMapNames() {
 		base, err := core.NewPageMap(layout, 3, 2, 2, 4)
@@ -53,18 +54,6 @@ func TestReplicatedMapGeometry(t *testing.T) {
 					}
 				}
 			}
-		}
-		// Name grammar: "<base>+r2" parses back to an equivalent map.
-		reopened, err := core.NewPageMap(rm.Name(), 3, 2, 2, 4)
-		if err != nil {
-			t.Fatalf("reopen %q: %v", rm.Name(), err)
-		}
-		rm2, ok := reopened.(core.ReplicaMap)
-		if !ok || rm2.Replicas() != 2 {
-			t.Fatalf("reopened %q is not a 2-way replica map: %T", rm.Name(), reopened)
-		}
-		if got := rm2.LocateAll(2, 1, 1); got[0] != rm.LocateAll(2, 1, 1)[0] || got[1] != rm.LocateAll(2, 1, 1)[1] {
-			t.Fatalf("reopened map disagrees: %v vs %v", got, rm.LocateAll(2, 1, 1))
 		}
 	}
 
@@ -134,7 +123,7 @@ func TestReplicaReadsRotateAcrossChain(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	chain := arr.Map().(core.ReplicaMap).LocateAll(0, 0, 0)
+	chain := arr.Map().LocateAll(0, 0, 0)
 	if len(chain) != 2 || chain[0].Device == chain[1].Device {
 		t.Fatalf("unexpected chain %v", chain)
 	}
@@ -202,7 +191,7 @@ func TestReplicatedWriteFansOut(t *testing.T) {
 		t.Fatalf("scale: %v", err)
 	}
 
-	rm := arr.Map().(core.ReplicaMap)
+	rm := arr.Map()
 	g1, g2, g3 := N/n, N/n, N/n
 	page0 := pagedev.NewArrayPage(n, n, n)
 	page1 := pagedev.NewArrayPage(n, n, n)
@@ -337,7 +326,7 @@ func TestReplicatedFailover(t *testing.T) {
 			t.Fatalf("post-failover read: element %d = %v, want %v", i, got[i], src[i])
 		}
 	}
-	rm := arr.Map().(core.ReplicaMap)
+	rm := arr.Map()
 	for p1 := 0; p1 < N/n; p1++ {
 		for p2 := 0; p2 < N/n; p2++ {
 			for p3 := 0; p3 < N/n; p3++ {

@@ -39,7 +39,10 @@ func TestServingTierAdmissionOverTCP(t *testing.T) {
 	p := servingPool(t, cl, 1) // one conn: FIFO makes the shed deterministic
 	sess := p.Session(rmi.WithTimeout(30 * time.Second))
 
-	ref, err := sess.New(ctx, 1, serve.ClassWork, nil)
+	// The server frees a call's admission slot just after its reply, so
+	// the construction runs in the high class: a normal-class slot still
+	// held by it would shed a filler below and admit the overflow call.
+	ref, err := sess.New(ctx, 1, serve.ClassWork, nil, rmi.WithPriority(rmi.PrioHigh))
 	if err != nil {
 		t.Fatalf("new Work: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"oopp/internal/cluster"
-	"oopp/internal/core"
 	"oopp/internal/disk"
 	"oopp/internal/rmi"
 	"oopp/internal/transport"
@@ -198,7 +197,3 @@ func init() {
 		Experiment{"A2", "Ablation: mailbox serialization vs concurrent dispatch", A2DispatchModes},
 	)
 }
-
-// Reference the core package (buildE7Array returns core types) so the
-// ablation file reads standalone.
-var _ = core.PageMapNames

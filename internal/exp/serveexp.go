@@ -189,18 +189,22 @@ func e14Burst(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 		return err
 	}
 	bulk := p.Session(rmi.WithPriority(rmi.PrioBulk))
+	shedBefore := srv.Counters().ReqShed.Load()
 	var bulkFuts []*rmi.Future
 	for i := 0; i < bulkCap+overflow; i++ {
 		bulkFuts = append(bulkFuts, bulk.CallAsync(bg, ref, "sleep", serve.SleepArgs(0)))
 	}
 	// The dam never opens until we say so, so no bulk call completes:
 	// exactly bulkCap are admitted and exactly overflow shed, no matter
-	// how the pooled connections interleave.
+	// how the pooled connections interleave. Open it only once the
+	// server has classified every call — bulkCap admitted and overflow
+	// shed — or an overflow call still on the wire would take a slot the
+	// dam frees.
 	shed := 0
 	if err := e14WaitDepth(srv, func(d [rmi.NumPriorities]int) bool {
-		return d[rmi.PrioBulk] >= bulkCap
+		return d[rmi.PrioBulk] >= bulkCap && srv.Counters().ReqShed.Load()-shedBefore >= overflow
 	}); err != nil {
-		return err
+		return fmt.Errorf("burst: %w (shed %d)", err, srv.Counters().ReqShed.Load()-shedBefore)
 	}
 	if err := sess.CallAsync(bg, ref, "open", nil, rmi.WithPriority(rmi.PrioHigh)).Err(bg); err != nil {
 		return fmt.Errorf("open: %w", err)

@@ -578,11 +578,12 @@ func (t *callTask) run() {
 	wire.PutEncoder(reply)
 	s.counters.MessagesSent.Add(1)
 	s.counters.BytesSent.Add(int64(len(frame)))
-	// Best effort: if the connection died the client sees ErrClosed.
-	_ = t.conn.Send(frame)
-	// Telemetry: latency from admission to reply (queueing included —
-	// that is what the caller experienced), outcome classified the same
-	// way the local branch above decided it.
+	// Telemetry: latency from admission to the reply being ready
+	// (queueing included — that is what the caller experienced), outcome
+	// classified the same way the local branch above decided it. It is
+	// recorded, and the span ended, before the reply is sent: a caller
+	// that pulls opDebug as soon as it has its reply must see its own
+	// call.
 	if t.stats != nil {
 		t.stats.Hist.Observe(time.Since(t.start))
 		switch {
@@ -597,6 +598,8 @@ func (t *callTask) run() {
 		}
 	}
 	t.span.End(err != nil)
+	// Best effort: if the connection died the client sees ErrClosed.
+	_ = t.conn.Send(frame)
 	prio, start := t.prio, t.start
 	*t = callTask{}
 	callTaskPool.Put(t)

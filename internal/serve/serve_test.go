@@ -70,12 +70,24 @@ func TestPoolSpreadsLoad(t *testing.T) {
 	tr, srv := newCluster(t, rmi.AdmissionConfig{})
 	p := newPool(t, tr, srv, conns)
 	sess := p.Session()
-	ref, err := sess.New(bg, 0, ClassWork, nil)
+	// The server frees a call's admission slot just after its reply, so
+	// the construction runs in the high class: its slot must not be
+	// mistaken below for the dam's.
+	ref, err := sess.New(bg, 0, ClassWork, nil, rmi.WithPriority(rmi.PrioHigh))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	var futs []*rmi.Future
 	futs = append(futs, sess.CallAsync(bg, ref, "wait", nil))
+	// The burst must queue behind the dam: a sleep that reached the
+	// server on another connection before the wait would run at once
+	// and leave the pool short of calls in flight.
+	for deadline := time.Now().Add(10 * time.Second); srv.QueueDepths()[rmi.PrioNormal] < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("wait call never admitted")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	for i := 1; i < calls; i++ {
 		futs = append(futs, sess.CallAsync(bg, ref, "sleep", SleepArgs(0)))
 	}

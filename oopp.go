@@ -69,7 +69,8 @@ type (
 	Domain = core.Domain
 	// PageAddress locates a logical page on a device.
 	PageAddress = core.PageAddress
-	// PageMap maps logical pages to physical addresses (the data layout).
+	// PageMap maps logical pages to physical addresses (the data layout):
+	// an immutable placement table holding a replica chain per page.
 	PageMap = core.PageMap
 	// BlockStorage is the vector of storage device processes.
 	BlockStorage = core.BlockStorage
@@ -286,7 +287,7 @@ func Box(n1, n2, n3 int) Domain { return core.Box(n1, n2, n3) }
 
 // NewPageMap builds a layout by name: "roundrobin", "blocked", "striped",
 // "hash".
-func NewPageMap(name string, p1, p2, p3, devices int) (PageMap, error) {
+func NewPageMap(name string, p1, p2, p3, devices int) (*PageMap, error) {
 	return core.NewPageMap(name, p1, p2, p3, devices)
 }
 
@@ -302,7 +303,7 @@ func CreateBlockStorage(ctx context.Context, client *Client, machines []int, nam
 }
 
 // NewArray validates geometry and returns a distributed array client.
-func NewArray(ctx context.Context, storage *BlockStorage, pm PageMap, N1, N2, N3, n1, n2, n3 int) (*Array, error) {
+func NewArray(ctx context.Context, storage *BlockStorage, pm *PageMap, N1, N2, N3, n1, n2, n3 int) (*Array, error) {
 	return core.NewArray(ctx, storage, pm, N1, N2, N3, n1, n2, n3)
 }
 
@@ -313,21 +314,21 @@ func NewArray(ctx context.Context, storage *BlockStorage, pm PageMap, N1, N2, N3
 // tolerance" chapter of the package doc.
 
 type (
-	// ReplicaMap is a PageMap that places every page on k devices.
-	ReplicaMap = core.ReplicaMap
-	// ReplicatedMap is the standard ReplicaMap: a base layout whose
-	// replica r is rotated r devices along.
+	// ReplicatedMap is the historical name of a PageMap built by
+	// NewReplicatedMap: a base layout whose replica r is rotated r
+	// devices along.
 	ReplicatedMap = core.ReplicatedMap
 	// FailoverReport summarizes one Array.Failover: promotions,
 	// re-seeds, pages left degraded or lost.
 	FailoverReport = core.FailoverReport
 )
 
-// NewReplicatedMap wraps a base layout so every page lives on k distinct
-// devices. Arrays over it fan writes out to all replicas (primary-ack)
-// and serve reads from any live replica; devices need k× the base map's
-// pages-per-device, plus spare slots if Failover is to re-seed.
-func NewReplicatedMap(base PageMap, k int) (*ReplicatedMap, error) {
+// NewReplicatedMap derives from a base layout the table in which every
+// page lives on k distinct devices. Arrays over it fan writes out to all
+// replicas (primary-ack) and serve reads from any live replica; devices
+// need k× the base map's pages-per-device, plus spare slots if Failover
+// is to re-seed.
+func NewReplicatedMap(base *PageMap, k int) (*PageMap, error) {
 	return core.NewReplicatedMap(base, k)
 }
 
