@@ -132,7 +132,14 @@
 // exchange. Per sweep, O(N²) halo bytes + O(devices) residual scalars
 // move, against the client path's O(N³); experiment E13 measures ~6×
 // fewer bytes and faster sweeps at 8 devices, and examples/heat3d runs
-// both paths (-owner flag).
+// both paths (-owner flag). Both paths sweep every interior row with
+// one row kernel (internal/kernel JacobiRow: the centre row and its
+// four axis-1 and axis-2 neighbour rows in, a fixed summation order, a
+// math.Max residual fold), so the client and owner residuals agree to
+// the bit; boundary rows and planes are plain copies. A device unpacks
+// page bytes straight into its source slab and packs output rows
+// straight back into pages, and keeps both slabs as device scratch
+// across sweeps, so a sweep allocates O(1), not O(slab).
 //
 // Client-side Read/Write remains the right tool when the client
 // actually needs the elements: seeding from host data, probing values,

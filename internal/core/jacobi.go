@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"oopp/internal/kernel"
 )
 
 // Jacobi runs weighted Jacobi relaxation for the 3D Laplace problem on a
@@ -74,39 +76,34 @@ func Jacobi(ctx context.Context, a, b *Array, iters, clients int) (float64, erro
 }
 
 // jacobiSweepSlab updates dst over slab from src, reading src with a
-// one-point halo. Returns the slab's max |update|.
+// one-point halo, and returns the slab's max |update|. slab lies inside
+// the interior, so the halo stays within the array bounds and every
+// slab row runs through the same row kernel as the owner-computes sweep.
 func jacobiSweepSlab(ctx context.Context, src, dst *Array, slab Domain) (float64, error) {
-	// Halo-expanded read domain, clamped to the array bounds.
 	halo := Domain{
 		Lo: [3]int{slab.Lo[0] - 1, slab.Lo[1] - 1, slab.Lo[2] - 1},
 		Hi: [3]int{slab.Hi[0] + 1, slab.Hi[1] + 1, slab.Hi[2] + 1},
 	}
-	bounds := src.Bounds()
-	halo = halo.Intersect(bounds)
-
 	in := make([]float64, halo.Size())
 	if err := src.Read(ctx, in, halo); err != nil {
 		return 0, err
 	}
 	h2 := halo.Hi[1] - halo.Lo[1]
 	h3 := halo.Hi[2] - halo.Lo[2]
-	at := func(i, j, k int) float64 {
-		return in[((i-halo.Lo[0])*h2+(j-halo.Lo[1]))*h3+(k-halo.Lo[2])]
+	row := func(i, j int) []float64 {
+		off := (i*h2 + j) * h3
+		return in[off : off+h3]
 	}
 
 	out := make([]float64, slab.Size())
+	d1 := slab.Hi[0] - slab.Lo[0]
 	d2 := slab.Hi[1] - slab.Lo[1]
 	d3 := slab.Hi[2] - slab.Lo[2]
 	var residual float64
-	for i := slab.Lo[0]; i < slab.Hi[0]; i++ {
-		for j := slab.Lo[1]; j < slab.Hi[1]; j++ {
-			for k := slab.Lo[2]; k < slab.Hi[2]; k++ {
-				avg := (at(i-1, j, k) + at(i+1, j, k) +
-					at(i, j-1, k) + at(i, j+1, k) +
-					at(i, j, k-1) + at(i, j, k+1)) / 6
-				out[((i-slab.Lo[0])*d2+(j-slab.Lo[1]))*d3+(k-slab.Lo[2])] = avg
-				residual = math.Max(residual, math.Abs(avg-at(i, j, k)))
-			}
+	for i := 1; i <= d1; i++ {
+		for j := 1; j <= d2; j++ {
+			dstRow := out[((i-1)*d2+j-1)*d3:][:d3]
+			residual = kernel.JacobiRow(dstRow, row(i, j), row(i-1, j), row(i+1, j), row(i, j-1), row(i, j+1), residual)
 		}
 	}
 	if err := dst.Write(ctx, out, slab); err != nil {

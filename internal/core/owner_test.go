@@ -128,6 +128,28 @@ func TestJacobiOwnerMorePlanesThanDevices(t *testing.T) {
 	}
 }
 
+// A NaN in one page poisons the residual, as math.Max folds it: the
+// owner sweep must report NaN, with the reference's bits.
+func TestJacobiOwnerNaNResidual(t *testing.T) {
+	const N, n = 8, 2
+	owner, done := buildOwnerArray(t, 3, N, n)
+	defer done()
+	u := seedHotFace(N)
+	u[(5*N+5)*N+5] = math.NaN() // one interior point of page-plane 2
+	full := core.Box(N, N, N)
+	if err := owner.Write(bg, u, full); err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.JacobiOwner(bg, owner, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes := core.JacobiLocal(u, N, N, N, 2)
+	if !math.IsNaN(res) || math.Float64bits(res) != math.Float64bits(wantRes) {
+		t.Fatalf("residual %v (%#x), want NaN %#x", res, math.Float64bits(res), math.Float64bits(wantRes))
+	}
+}
+
 func TestJacobiOwnerRequiresPlaneAlignedMap(t *testing.T) {
 	// roundrobin splits page-planes across devices.
 	arr, done := buildArray(t, "roundrobin", 3, 8, 8, 8, 2, 2, 2)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"oopp/internal/bufpool"
 	"oopp/internal/disk"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
@@ -338,6 +339,10 @@ type arrayPageDevice struct {
 	*pageDevice
 	n1, n2, n3 int
 	elems      []float64 // scratch decode buffer (serial methods, no lock)
+
+	// jacobiPlane's source slab, output slab and halo planes: device
+	// scratch like elems, grown to the largest geometry swept so far.
+	jslab, jout, jhalo []float64
 }
 
 // constructor modes for ArrayPageDevice (§3 fresh, §5 from-process).
@@ -661,7 +666,8 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 	// peer's thread-safe store instead of crossing the loopback link.
 	fetchPeerPage := func(a *arrayPageDevice, env *rmi.Env, peer rmi.Ref, peerIdx int, dst []float64) error {
 		if local, ok := localArrayDevice(env, peer); ok {
-			buf := make([]byte, local.pageSize)
+			buf := bufpool.GetLen(local.pageSize)
+			defer bufpool.Put(buf)
 			if err := local.readInto(peerIdx, buf); err != nil {
 				return err
 			}

@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 
+	"oopp/internal/bufpool"
 	"oopp/internal/kernel"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
@@ -145,7 +146,8 @@ func (a *arrayPageDevice) fetchSubBatch(env *rmi.Env, peer rmi.Ref, reqs []subRe
 		return nil
 	}
 	if local, ok := localArrayDevice(env, peer); ok {
-		buf := make([]byte, local.pageSize)
+		buf := bufpool.GetLen(local.pageSize)
+		defer bufpool.Put(buf)
 		for i, rq := range reqs {
 			if rq.size() == 0 {
 				continue
@@ -514,7 +516,8 @@ func registerKernelMethods(c *rmi.Class[*arrayPageDevice]) {
 		if err := args.Err(); err != nil {
 			return err
 		}
-		buf := make([]byte, a.pageSize)
+		buf := bufpool.GetLen(a.pageSize)
+		defer bufpool.Put(buf)
 		var out []float64
 		for n := 0; n < count; n++ {
 			idx := args.Int()

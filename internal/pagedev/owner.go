@@ -14,11 +14,20 @@ package pagedev
 // the halo round-trip costs nothing unless it outlasts the interior
 // sweep. A sync flag forces the fetch-then-sweep schedule (the
 // reference the overlap path is pinned bitwise-equal against).
+//
+// The sweep is a flat row kernel: each interior row is one
+// kernel.JacobiRow call over the centre row (whose k±1 are the axis-3
+// neighbours) and its two axis-1 and two axis-2 neighbour rows, the
+// same kernel the client-side sweep runs; boundary rows and planes are
+// plain copies. Page bytes unpack straight into the source slab rows and
+// output rows pack straight back into page bytes. The source slab,
+// output slab and halo buffers are device scratch, reused across calls
+// like the page buffers the other serial methods use.
 
 import (
 	"fmt"
-	"math"
 
+	"oopp/internal/kernel"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
@@ -75,7 +84,9 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 
 		// The slab holds n1 global planes plus the halo planes, indexed
 		// slab[(si*N2+gj)*N3+gk]; the sweep writes into a separate output
-		// slab so plane order is free.
+		// slab so plane order is free. Both are device scratch, reused
+		// across calls: the method is serial, and the halo buffers are
+		// written only by join, before it returns.
 		row0 := 0
 		H := n1
 		if hasLo {
@@ -84,7 +95,10 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 		if hasHi {
 			H++
 		}
-		slab := make([]float64, H*N2*N3)
+		a.jslab = growFloats(a.jslab, H*N2*N3)
+		a.jout = growFloats(a.jout, n1*N2*N3)
+		a.jhalo = growFloats(a.jhalo, 2*P2*P3*n2*n3)
+		slab, out, halo := a.jslab, a.jout, a.jhalo
 
 		// Post the halo pulls FIRST: each neighbour's concurrent
 		// readSubBatch serves them while this device assembles its local
@@ -95,7 +109,7 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 			wait    func() error
 			scatter func()
 		}
-		postHalo := func(peer rmi.Ref, idxs []int, peerPlane, slabRow int, what string) haloPull {
+		postHalo := func(peer rmi.Ref, idxs []int, peerPlane, slabRow int, buf []float64, what string) haloPull {
 			reqs := make([]subReq, 0, P2*P3)
 			vals := make([][]float64, 0, P2*P3)
 			for p2 := 0; p2 < P2; p2++ {
@@ -105,7 +119,7 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 						lo:  [3]int{peerPlane, 0, 0},
 						dim: [3]int{1, n2, n3},
 					})
-					vals = append(vals, make([]float64, n2*n3))
+					vals = append(vals, buf[len(vals)*n2*n3:][:n2*n3])
 				}
 			}
 			wait := a.fetchSubBatchAsync(env, peer, reqs, vals)
@@ -131,10 +145,10 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 		}
 		var pulls []haloPull
 		if hasLo {
-			pulls = append(pulls, postHalo(loRef, loPages, n1-1, 0, "lo"))
+			pulls = append(pulls, postHalo(loRef, loPages, n1-1, 0, halo[:len(halo)/2], "lo"))
 		}
 		if hasHi {
-			pulls = append(pulls, postHalo(hiRef, hiPages, 0, H-1, "hi"))
+			pulls = append(pulls, postHalo(hiRef, hiPages, 0, H-1, halo[len(halo)/2:], "hi"))
 		}
 		if sync {
 			// Reference schedule: all edges in hand before any arithmetic.
@@ -145,55 +159,50 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 			}
 		}
 
-		// Assemble the local planes of the source slab.
-		pageBytes := make([]byte, a.pageSize)
-		pageElems := make([]float64, n1*n2*n3)
+		// Assemble the local planes of the source slab, unpacking each
+		// page's rows straight from its bytes into their slab rows.
 		for p2 := 0; p2 < P2; p2++ {
 			for p3 := 0; p3 < P3; p3++ {
-				if err := a.readInto(pages[p2*P3+p3]+srcOff, pageBytes); err != nil {
-					return err
-				}
-				if err := BytesToFloat64s(pageElems, pageBytes); err != nil {
+				if err := a.readInto(pages[p2*P3+p3]+srcOff, a.scratch); err != nil {
 					return err
 				}
 				for i := 0; i < n1; i++ {
 					for j := 0; j < n2; j++ {
-						src := pageElems[(i*n2+j)*n3 : (i*n2+j)*n3+n3]
+						src := (i*n2 + j) * n3
 						off := ((row0+i)*N2+p2*n2+j)*N3 + p3*n3
-						copy(slab[off:off+n3], src)
+						if err := BytesToFloat64s(slab[off:off+n3], a.scratch[8*src:8*(src+n3)]); err != nil {
+							return err
+						}
 					}
 				}
 			}
 		}
 
-		// Sweep, one global plane at a time: interior points average
-		// their six neighbours, boundary points carry over — the same
-		// arithmetic, in the same order, as the client-side sweep, so the
-		// paths agree bit for bit. Each output value depends only on the
-		// source slab and the residual is a max (order-independent), so
-		// the plane ORDER is free: the overlap schedule sweeps every
-		// plane that needs no halo while the pulls are in flight, then
-		// finishes the boundary planes on arrival, and still produces
-		// bitwise-identical pages and residual.
-		at := func(si, gj, gk int) float64 { return slab[(si*N2+gj)*N3+gk] }
-		out := make([]float64, n1*N2*N3)
+		// Sweep, one global plane at a time: interior rows go through the
+		// shared row kernel (the client-side sweep runs the same one, so
+		// the paths agree bit for bit), boundary rows and planes carry
+		// over. Each output value depends only on the source slab and
+		// the residual is a max (order-independent), so the plane ORDER
+		// is free: the overlap schedule sweeps every plane that needs no
+		// halo while the pulls are in flight, then finishes the boundary
+		// planes on arrival, and still produces bitwise-identical pages
+		// and residual.
 		var residual float64
+		row := func(si, gj int) []float64 {
+			off := (si*N2 + gj) * N3
+			return slab[off : off+N3]
+		}
 		sweepPlane := func(i int) {
 			gi, si := qbase+i, row0+i
 			for gj := 0; gj < N2; gj++ {
-				base := (i*N2 + gj) * N3
-				for gk := 0; gk < N3; gk++ {
-					v := at(si, gj, gk)
-					if gi > 0 && gi < N1-1 && gj > 0 && gj < N2-1 && gk > 0 && gk < N3-1 {
-						avg := (at(si-1, gj, gk) + at(si+1, gj, gk) +
-							at(si, gj-1, gk) + at(si, gj+1, gk) +
-							at(si, gj, gk-1) + at(si, gj, gk+1)) / 6
-						out[base+gk] = avg
-						residual = math.Max(residual, math.Abs(avg-v))
-					} else {
-						out[base+gk] = v
-					}
+				c := row(si, gj)
+				dst := out[(i*N2+gj)*N3:][:N3]
+				if gi == 0 || gi == N1-1 || gj == 0 || gj == N2-1 || N3 < 3 {
+					copy(dst, c)
+					continue
 				}
+				dst[0], dst[N3-1] = c[0], c[N3-1]
+				residual = kernel.JacobiRow(dst[1:N3-1], c, row(si-1, gj), row(si+1, gj), row(si, gj-1), row(si, gj+1), residual)
 			}
 		}
 		// Plane i reads the lo halo iff it is the slab's first plane and
@@ -223,19 +232,20 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 			}
 		}
 
-		// Pack the output slab back into pages and write bank dstOff.
+		// Pack the output rows straight into page bytes and write bank
+		// dstOff.
 		for p2 := 0; p2 < P2; p2++ {
 			for p3 := 0; p3 < P3; p3++ {
 				for i := 0; i < n1; i++ {
 					for j := 0; j < n2; j++ {
+						dst := (i*n2 + j) * n3
 						off := (i*N2+p2*n2+j)*N3 + p3*n3
-						copy(pageElems[(i*n2+j)*n3:(i*n2+j)*n3+n3], out[off:off+n3])
+						if err := Float64sToBytes(a.scratch[8*dst:8*(dst+n3)], out[off:off+n3]); err != nil {
+							return err
+						}
 					}
 				}
-				if err := Float64sToBytes(pageBytes, pageElems); err != nil {
-					return err
-				}
-				if err := a.write(pages[p2*P3+p3]+dstOff, pageBytes); err != nil {
+				if err := a.write(pages[p2*P3+p3]+dstOff, a.scratch); err != nil {
 					return err
 				}
 			}
@@ -243,4 +253,13 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 		reply.PutFloat64(residual)
 		return nil
 	})
+}
+
+// growFloats returns buf resized to n values, reallocating only when its
+// capacity is short. The contents are unspecified.
+func growFloats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
