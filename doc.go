@@ -144,7 +144,15 @@
 // Client-side Read/Write remains the right tool when the client
 // actually needs the elements: seeding from host data, probing values,
 // interfacing with non-kernel code (the FFT), or any transform that is
-// not expressible as an elementwise/reduction kernel over rows.
+// not expressible as an elementwise/reduction kernel over rows. Both
+// move only the requested box. Pages are stored as little-endian
+// float64, the wire's own layout, so a read of a sub-box ships just
+// its rows, copied from the page bytes by the device's concurrent read
+// lane and unpacked straight into the caller's subarray; a write of a
+// partial page ships its rows, which the device copies into the page
+// bytes inside its serial mailbox. Each page is read atomically, before
+// or after any concurrent write to it; a read spanning pages is not a
+// snapshot of the whole array.
 //
 // # Kernel pipeline
 //

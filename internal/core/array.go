@@ -207,37 +207,41 @@ func (a *Array) checkDomain(dom Domain) error {
 	return nil
 }
 
-// copyRegion moves the isect block between a page buffer and a
-// dom-shaped subarray. dir=+1 copies page->sub (read), dir=-1 sub->page
-// (write).
-func (a *Array) copyRegion(sub []float64, dom Domain, page []float64, r region, toSub bool) {
+// regionRows visits the axis-3 runs of r's intersection in row-major
+// order, as offsets into a dom-shaped subarray (sOff) and into the
+// region's page (pOff), with the run length n.
+func (a *Array) regionRows(dom Domain, r region, fn func(sOff, pOff, n int)) {
 	d2 := dom.Hi[1] - dom.Lo[1]
 	d3 := dom.Hi[2] - dom.Lo[2]
-	runLen := r.isect.Hi[2] - r.isect.Lo[2]
+	n := r.isect.Hi[2] - r.isect.Lo[2]
 	for i := r.isect.Lo[0]; i < r.isect.Hi[0]; i++ {
 		li := i - r.box.Lo[0] // local page coord, axis 1
 		si := i - dom.Lo[0]   // subarray coord, axis 1
 		for j := r.isect.Lo[1]; j < r.isect.Hi[1]; j++ {
 			lj := j - r.box.Lo[1]
 			sj := j - dom.Lo[1]
-			pOff := (li*a.p[1]+lj)*a.p[2] + (r.isect.Lo[2] - r.box.Lo[2])
-			sOff := (si*d2+sj)*d3 + (r.isect.Lo[2] - dom.Lo[2])
-			if toSub {
-				copy(sub[sOff:sOff+runLen], page[pOff:pOff+runLen])
-			} else {
-				copy(page[pOff:pOff+runLen], sub[sOff:sOff+runLen])
-			}
+			fn((si*d2+sj)*d3+(r.isect.Lo[2]-dom.Lo[2]), (li*a.p[1]+lj)*a.p[2]+(r.isect.Lo[2]-r.box.Lo[2]), n)
 		}
 	}
 }
 
 // Read gathers the subdomain dom into subarray (row-major, dom.Dims()
-// shaped) — the paper's Array::read. With pipelining on, page reads from
-// distinct devices overlap (§4); the PageMap decides how many devices
-// that engages (§5). Under a replicated map each page is read from its
-// first *live* replica (the failure detector's verdicts route around
-// down machines; a call-time machine-down failure falls back to the
-// next replica), so replication doubles as read scaling.
+// shaped) — the paper's Array::read. Each overlapped page ships only
+// its part of dom: the device's concurrent readSubBatch method returns
+// the region's rows as raw page bytes, which unpack straight into
+// subarray. With pipelining on, region reads from distinct devices
+// overlap (§4), up to the window; the PageMap decides how many devices
+// that engages (§5). With it off, each region is one synchronous round
+// trip. Under a replicated map each region is read from a *live*
+// replica, rotating across the live chain so that replication doubles
+// as read scaling; a call-time machine-down failure falls back to the
+// page's remaining replicas.
+//
+// Consistency: each page is read atomically. Its region comes from one
+// snapshot of the page, taken before or after any concurrent mutation
+// of it (the device's store guards every whole-page read and write with
+// one lock), but a Read spanning several pages is not a snapshot of the
+// array: pages read earlier and later may straddle a concurrent Write.
 func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error {
 	if err := a.checkDomain(dom); err != nil {
 		return err
@@ -246,70 +250,58 @@ func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error 
 		return fmt.Errorf("core: subarray has %d elements, domain %v has %d", len(subarray), dom, dom.Size())
 	}
 	regs := a.regions(dom)
-	scratch := pagedev.NewArrayPage(a.p[0], a.p[1], a.p[2])
-
+	window := a.window
 	if !a.pipeline {
-		for _, r := range regs {
-			if err := a.readRegion(ctx, r, scratch, nil); err != nil {
-				return err
-			}
-			a.copyRegion(subarray, dom, scratch.Data, r, true)
-		}
-		return nil
+		window = 1
 	}
-
 	futs := make([]*rmi.Future, len(regs))
 	picked := make([]PageAddress, len(regs))
 	issued := 0
 	for done := 0; done < len(regs); done++ {
-		for issued < len(regs) && issued < done+a.window {
+		for issued < len(regs) && issued < done+window {
 			r := regs[issued]
 			addr, ok := a.pickLive(r.chain, nil)
 			if !ok {
 				addr = r.chain[0]
 			}
 			picked[issued] = addr
-			futs[issued] = a.storage.Device(addr.Device).ReadPageAsync(ctx, addr.Index)
+			futs[issued] = a.storage.Device(addr.Device).ReadSubAsync(ctx, addr.Index, subBoxFor(r))
 			issued++
 		}
-		if err := pagedev.DecodeArrayPage(ctx, futs[done], scratch); err != nil {
-			// A replica dying between issue and decode: retry the page
+		err := a.decodeRegion(ctx, futs[done], subarray, dom, regs[done])
+		if err != nil {
+			// A replica dying between issue and decode: retry the region
 			// synchronously on its remaining replicas before giving up.
-			err = a.retryRead(ctx, regs[done], picked[done], scratch, err)
-			if err != nil {
-				// Drain remaining futures before returning.
-				for i := done + 1; i < issued; i++ {
-					_ = futs[i].Err(ctx)
-				}
-				return err
-			}
+			err = a.retryRead(ctx, regs[done], picked[done], subarray, dom, err)
 		}
-		a.copyRegion(subarray, dom, scratch.Data, regs[done], true)
+		if err != nil {
+			for i := done + 1; i < issued; i++ {
+				_ = futs[i].Err(ctx)
+			}
+			return err
+		}
 		futs[done] = nil
 	}
 	return nil
 }
 
-// readRegion reads one page region from the first live replica,
-// synchronously, falling back across the chain on typed machine-down
-// failures.
-func (a *Array) readRegion(ctx context.Context, r region, page *pagedev.ArrayPage, exclude map[int]bool) error {
-	addr, ok := a.pickLive(r.chain, exclude)
-	if !ok {
-		addr = r.chain[0]
-	}
-	err := a.storage.Device(addr.Device).ReadPage(ctx, page, addr.Index)
-	if err == nil {
-		return nil
-	}
-	return a.retryRead(ctx, r, addr, page, err)
+// decodeRegion waits for a region read and unpacks its rows into the
+// dom-shaped subarray.
+func (a *Array) decodeRegion(ctx context.Context, fut *rmi.Future, subarray []float64, dom Domain, r region) error {
+	return pagedev.DecodeSub(ctx, fut, subBoxFor(r), func(raw []byte) {
+		pos := 0
+		a.regionRows(dom, r, func(sOff, _, n int) {
+			_ = pagedev.BytesToFloat64s(subarray[sOff:sOff+n], raw[8*pos:8*(pos+n)])
+			pos += n
+		})
+	})
 }
 
 // retryRead walks the remaining replicas of r after a read from the
 // failed address errored: only typed machine-down failures are
 // retried; any other error (or running out of replicas) returns the
 // original error.
-func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, page *pagedev.ArrayPage, err error) error {
+func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, subarray []float64, dom Domain, err error) error {
 	if !errors.Is(err, rmi.ErrMachineDown) {
 		return err
 	}
@@ -317,7 +309,8 @@ func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, pag
 		if addr == failed || !a.machineUp(addr.Device) {
 			continue
 		}
-		if rerr := a.storage.Device(addr.Device).ReadPage(ctx, page, addr.Index); rerr == nil {
+		fut := a.storage.Device(addr.Device).ReadSubAsync(ctx, addr.Index, subBoxFor(r))
+		if rerr := a.decodeRegion(ctx, fut, subarray, dom, r); rerr == nil {
 			return nil
 		} else if !errors.Is(rerr, rmi.ErrMachineDown) {
 			return rerr
@@ -340,27 +333,21 @@ func subBoxFor(r region) pagedev.SubBox {
 // extractRegion gathers the region's values out of a dom-shaped subarray
 // into a row-packed buffer (the writeSub wire layout).
 func (a *Array) extractRegion(sub []float64, dom Domain, r region) []float64 {
-	d2 := dom.Hi[1] - dom.Lo[1]
-	d3 := dom.Hi[2] - dom.Lo[2]
-	runLen := r.isect.Hi[2] - r.isect.Lo[2]
 	out := make([]float64, r.isect.Size())
 	pos := 0
-	for i := r.isect.Lo[0]; i < r.isect.Hi[0]; i++ {
-		si := i - dom.Lo[0]
-		for j := r.isect.Lo[1]; j < r.isect.Hi[1]; j++ {
-			sj := j - dom.Lo[1]
-			sOff := (si*d2+sj)*d3 + (r.isect.Lo[2] - dom.Lo[2])
-			copy(out[pos:pos+runLen], sub[sOff:sOff+runLen])
-			pos += runLen
-		}
-	}
+	a.regionRows(dom, r, func(sOff, _, n int) {
+		copy(out[pos:pos+n], sub[sOff:sOff+n])
+		pos += n
+	})
 	return out
 }
 
 // Write scatters subarray into the subdomain dom — the paper's
 // Array::write. Fully covered pages are written whole; partially covered
-// pages go through the device's atomic sub-page write. Both paths
-// pipeline.
+// pages ship only their rows to the device's sub-page write, which
+// copies them into the page bytes inside the device's serial mailbox,
+// so concurrent writers of disjoint parts of one page lose no update.
+// Both paths pipeline.
 //
 // Under a replicated map every page write fans out to the whole replica
 // chain through the same pipeline, with primary-ack semantics: the
@@ -398,7 +385,9 @@ func (a *Array) Write(ctx context.Context, subarray []float64, dom Domain) error
 // writeWith is one Write attempt against an explicit map snapshot.
 func (a *Array) writeWith(ctx context.Context, pm *PageMap, subarray []float64, dom Domain) error {
 	regs := a.regionsOf(pm, dom)
-	scratch := pagedev.NewArrayPage(a.p[0], a.p[1], a.p[2])
+	// The page buffer full-page regions are assembled in, allocated on
+	// the first one: partial regions ship only their rows.
+	var scratch *pagedev.ArrayPage
 
 	// Each pending group is one region's replica fan-out; a group is
 	// acked when at least one of its futures succeeds and no future
@@ -448,7 +437,12 @@ func (a *Array) writeWith(ctx context.Context, pm *PageMap, subarray []float64, 
 	for _, r := range regs {
 		chain := r.chain
 		if r.full {
-			a.copyRegion(subarray, dom, scratch.Data, r, false)
+			if scratch == nil {
+				scratch = pagedev.NewArrayPage(a.p[0], a.p[1], a.p[2])
+			}
+			a.regionRows(dom, r, func(sOff, pOff, n int) {
+				copy(scratch.Data[pOff:pOff+n], subarray[sOff:sOff+n])
+			})
 			if a.pipeline {
 				futs := make([]*rmi.Future, len(chain))
 				for i, addr := range chain {

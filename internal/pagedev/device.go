@@ -564,41 +564,9 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 	// on the device — this is what lets multiple Array clients write
 	// disjoint regions of a shared page concurrently (§5) without lost
 	// updates, and it ships only the region instead of the whole page.
-	subMutator := func(mutate func(a *arrayPageDevice, off int, runLen int, args *wire.Decoder) error,
-	) func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			index := args.Int()
-			lo, dim, err := decodeSubBox(a, args)
-			if err != nil {
-				return err
-			}
-			if err := loadPage(a, index); err != nil {
-				return err
-			}
-			for i := 0; i < dim[0]; i++ {
-				for j := 0; j < dim[1]; j++ {
-					off := ((lo[0]+i)*a.n2+(lo[1]+j))*a.n3 + lo[2]
-					if err := mutate(a, off, dim[2], args); err != nil {
-						return err
-					}
-				}
-			}
-			if err := args.Err(); err != nil {
-				return err
-			}
-			if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-				return err
-			}
-			return a.write(index, a.scratch)
-		}
-	}
-
-	// writeSub(index, lo3, dim3, rows...): overlay a sub-box with values.
-	// Values arrive row-packed: dim1*dim2 runs of dim3 float64s.
-	c.Method("writeSub", subMutator(func(a *arrayPageDevice, off, runLen int, args *wire.Decoder) error {
-		args.Float64sInto(a.elems[off : off+runLen])
-		return args.Err()
-	}))
+	c.Method("writeSub", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		return a.writeSub(args)
+	})
 	// fillSub(index, box, v): set a sub-box to a constant.
 	c.Method("fillSub", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
@@ -752,6 +720,37 @@ func (a *arrayPageDevice) loadPage(index int) error {
 	return BytesToFloat64s(a.elems, a.scratch)
 }
 
+// writeSub serves writeSub(index, box, rows...): overlay a sub-box
+// with values. Values arrive row-packed, dim1*dim2 PutFloat64s runs of
+// dim3 values each, and their bytes are copied straight into the page
+// bytes — no conversion either way. The page is written back only after
+// every row has decoded, so a refused call leaves it unchanged. Serial
+// methods only: it patches the object's scratch page.
+func (a *arrayPageDevice) writeSub(args *wire.Decoder) error {
+	index := args.Int()
+	lo, dim, err := a.decodeSubBox(args)
+	if err != nil {
+		return err
+	}
+	if err := a.readInto(index, a.scratch); err != nil {
+		return err
+	}
+	for i := 0; i < dim[0]; i++ {
+		for j := 0; j < dim[1]; j++ {
+			row := args.Float64sView()
+			if err := args.Err(); err != nil {
+				return err
+			}
+			if len(row) != 8*dim[2] {
+				return fmt.Errorf("pagedev: writeSub row of %d values, sub-box rows hold %d", len(row)/8, dim[2])
+			}
+			off := 8 * (((lo[0]+i)*a.n2+(lo[1]+j))*a.n3 + lo[2])
+			copy(a.scratch[off:], row)
+		}
+	}
+	return a.write(index, a.scratch)
+}
+
 // storePage packs the scratch element buffer back into page index.
 func (a *arrayPageDevice) storePage(index int) error {
 	if err := Float64sToBytes(a.scratch, a.elems); err != nil {
@@ -774,7 +773,8 @@ func (a *arrayPageDevice) decodeSubBox(args *wire.Decoder) (lo [3]int, dim [3]in
 	}
 	page := [3]int{a.n1, a.n2, a.n3}
 	for x := 0; x < 3; x++ {
-		if lo[x] < 0 || dim[x] < 0 || lo[x]+dim[x] > page[x] {
+		// Compared without the sum lo+dim, which hostile values overflow.
+		if lo[x] < 0 || dim[x] < 0 || lo[x] > page[x] || dim[x] > page[x]-lo[x] {
 			return lo, dim, fmt.Errorf("pagedev: sub-box axis %d [%d,%d) outside page [0,%d)", x, lo[x], lo[x]+dim[x], page[x])
 		}
 	}

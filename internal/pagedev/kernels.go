@@ -14,12 +14,15 @@ package pagedev
 //	applyBinaryK, reduceBinaryK, pullSubBatch serial; pull peer operands
 //	                                          device-to-device
 //	readSubBatch                              CONCURRENT: serves peer
-//	                                          pulls while this object's
-//	                                          mailbox is busy (two
-//	                                          devices mid-sweep can
+//	                                          pulls and client
+//	                                          Array.Read while this
+//	                                          object's mailbox is busy
+//	                                          (two devices mid-sweep can
 //	                                          exchange halos without
 //	                                          deadlock); uses only
-//	                                          caller-owned buffers
+//	                                          caller-owned buffers and
+//	                                          ships region rows as raw
+//	                                          page bytes
 //
 // Batches are not transactional: a mid-batch failure leaves earlier
 // regions applied, exactly like a mid-loop failure of the per-page
@@ -58,71 +61,61 @@ func reqIndices(reqs []subReq) []int {
 	return idx
 }
 
-// forEachRow visits the contiguous axis-3 runs of a sub-box within an
-// n1×n2×n3 page buffer.
-func forEachRow(elems []float64, n2, n3 int, lo, dim [3]int, fn func(row []float64)) {
-	for i := 0; i < dim[0]; i++ {
-		for j := 0; j < dim[1]; j++ {
-			off := ((lo[0]+i)*n2+(lo[1]+j))*n3 + lo[2]
-			fn(elems[off : off+dim[2]])
-		}
-	}
-}
-
-// forEachRun is the stride-aware row engine: it visits the same
-// elements as forEachRow, in the same order, but coalesces rows that
-// are adjacent in memory into maximal contiguous runs — whole j-planes
-// when the box spans full axis-3 rows, the whole page as one flat
-// []float64 slab when it spans full planes. Kernels then run one long
-// sequential loop instead of dim[0]*dim[1] short ones: the per-call
-// overhead vanishes and the inner loops auto-vectorize. Element order
-// is preserved exactly, so sequential folds (sum, dot) stay bitwise
-// identical to the row-at-a-time schedule.
-func forEachRun(elems []float64, n2, n3 int, lo, dim [3]int, fn func(run []float64)) {
+// boxRuns is the stride-aware row engine: it visits the elements of a
+// sub-box of an n1×n2×n3 page in row-major order, as (offset, length)
+// element runs, coalescing rows that are adjacent in memory into
+// maximal contiguous runs — whole j-planes when the box spans full
+// axis-3 rows, one flat slab when it spans full planes, otherwise one
+// run per axis-3 row. Kernels then run one long sequential loop instead
+// of dim[0]*dim[1] short ones: the per-call overhead vanishes and the
+// inner loops auto-vectorize. Element order is preserved exactly, so
+// sequential folds (sum, dot) stay bitwise identical to the
+// row-at-a-time schedule.
+func boxRuns(n2, n3 int, lo, dim [3]int, fn func(off, n int)) {
 	if lo[2] == 0 && dim[2] == n3 {
 		if lo[1] == 0 && dim[1] == n2 {
-			off := lo[0] * n2 * n3
-			fn(elems[off : off+dim[0]*n2*n3])
+			fn(lo[0]*n2*n3, dim[0]*n2*n3)
 			return
 		}
 		for i := 0; i < dim[0]; i++ {
-			off := ((lo[0]+i)*n2 + lo[1]) * n3
-			fn(elems[off : off+dim[1]*n3])
+			fn(((lo[0]+i)*n2+lo[1])*n3, dim[1]*n3)
 		}
 		return
 	}
-	forEachRow(elems, n2, n3, lo, dim, fn)
+	for i := 0; i < dim[0]; i++ {
+		for j := 0; j < dim[1]; j++ {
+			fn(((lo[0]+i)*n2+(lo[1]+j))*n3+lo[2], dim[2])
+		}
+	}
+}
+
+// forEachRun visits the boxRuns of a sub-box as slices of a page's
+// element buffer.
+func forEachRun(elems []float64, n2, n3 int, lo, dim [3]int, fn func(run []float64)) {
+	boxRuns(n2, n3, lo, dim, func(off, n int) { fn(elems[off : off+n]) })
+}
+
+// forEachByteRun visits the boxRuns of a sub-box as slices of
+// little-endian page bytes, 8 per element. The sub-box lanes use it to
+// move rows between page buffers and frames with plain copies.
+func forEachByteRun(page []byte, n2, n3 int, lo, dim [3]int, fn func(run []byte)) {
+	boxRuns(n2, n3, lo, dim, func(off, n int) { fn(page[8*off : 8*(off+n)]) })
 }
 
 // gatherRowsFromBytes unpacks just the rows of a sub-box straight from
-// little-endian page bytes into dst, row-major — the halo-serving hot
-// path converts O(box) elements, not O(page) (a halo plane is 1/n1 of
-// its page). Contiguous boxes (full axis-3 rows) convert as one run per
-// plane instead of one per row, same stride-aware coalescing as
-// forEachRun.
+// little-endian page bytes into dst, row-major — the co-located halo
+// pull converts O(box) elements, not O(page) (a halo plane is 1/n1 of
+// its page).
 func gatherRowsFromBytes(page []byte, n2, n3 int, lo, dim [3]int, dst []float64) error {
-	if lo[2] == 0 && dim[2] == n3 {
-		pos := 0
-		runLen := dim[1] * n3
-		for i := 0; i < dim[0]; i++ {
-			off := ((lo[0]+i)*n2 + lo[1]) * n3
-			if err := BytesToFloat64s(dst[pos:pos+runLen], page[8*off:8*(off+runLen)]); err != nil {
-				return err
-			}
-			pos += runLen
-		}
-		return nil
+	if len(dst) != dim[0]*dim[1]*dim[2] {
+		return fmt.Errorf("pagedev: gather %d values into %d", dim[0]*dim[1]*dim[2], len(dst))
 	}
 	pos := 0
-	for i := 0; i < dim[0]; i++ {
-		for j := 0; j < dim[1]; j++ {
-			off := ((lo[0]+i)*n2+(lo[1]+j))*n3 + lo[2]
-			if err := BytesToFloat64s(dst[pos:pos+dim[2]], page[8*off:8*(off+dim[2])]); err != nil {
-				return err
-			}
-			pos += dim[2]
-		}
-	}
+	forEachByteRun(page, n2, n3, lo, dim, func(run []byte) {
+		n := len(run) / 8
+		_ = BytesToFloat64s(dst[pos:pos+n], run)
+		pos += n
+	})
 	return nil
 }
 
@@ -222,6 +215,41 @@ func (a *arrayPageDevice) fetchSubBatchAsync(env *rmi.Env, peer rmi.Ref, reqs []
 		}
 		return d.Err()
 	}
+}
+
+// readSubBatch serves readSubBatch(count, count×(idx, box)): for each
+// region a PutFloat64s value of its rows, appended as raw page bytes.
+// Each page is read whole into a pooled buffer, so every region is one
+// atomic snapshot of its page (the backing store guards whole-page
+// reads and writes with one lock); nothing else is shared, which is
+// what lets the method run outside the mailbox.
+func (a *arrayPageDevice) readSubBatch(args *wire.Decoder, reply *wire.Encoder) error {
+	count := args.Int()
+	if err := args.Err(); err != nil {
+		return err
+	}
+	buf := bufpool.GetLen(a.pageSize)
+	defer bufpool.Put(buf)
+	for n := 0; n < count; n++ {
+		idx := args.Int()
+		lo, dim, err := a.decodeSubBox(args)
+		if err != nil {
+			return err
+		}
+		if err := a.checkIndex(idx); err != nil {
+			return err
+		}
+		size := dim[0] * dim[1] * dim[2]
+		reply.PutUvarint(uint64(size))
+		if size == 0 {
+			continue
+		}
+		if err := a.readInto(idx, buf); err != nil {
+			return err
+		}
+		forEachByteRun(buf, a.n2, a.n3, lo, dim, reply.AppendRaw)
+	}
+	return nil
 }
 
 // registerKernelMethods installs the kernel execution protocol on the
@@ -510,39 +538,10 @@ func registerKernelMethods(c *rmi.Class[*arrayPageDevice]) {
 	// readSubBatch(count, count×(idx, box)): serve the row-packed values
 	// of each region. CONCURRENT — runs outside the mailbox with its own
 	// buffers, so this device can serve peer pulls (halo planes, binary
-	// operands) even while one of its own serial methods is running.
+	// operands) and client reads even while one of its own serial
+	// methods is running.
 	c.ConcurrentMethod("readSubBatch", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		count := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		buf := bufpool.GetLen(a.pageSize)
-		defer bufpool.Put(buf)
-		var out []float64
-		for n := 0; n < count; n++ {
-			idx := args.Int()
-			lo, dim, err := a.decodeSubBox(args)
-			if err != nil {
-				return err
-			}
-			rq := subReq{idx: idx, lo: lo, dim: dim}
-			size := rq.size()
-			if size == 0 {
-				reply.PutFloat64s(nil)
-				continue
-			}
-			if err := a.readInto(idx, buf); err != nil {
-				return err
-			}
-			if cap(out) < size {
-				out = make([]float64, size)
-			}
-			if err := gatherRowsFromBytes(buf, a.n2, a.n3, lo, dim, out[:size]); err != nil {
-				return err
-			}
-			reply.PutFloat64s(out[:size])
-		}
-		return nil
+		return a.readSubBatch(args, reply)
 	})
 
 	// pullSubBatch(peerRef, count, count×(localIdx, box, peerIdx)):

@@ -227,30 +227,6 @@ func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, name string, params []
 	return DecodePipelinePartials(dec, reduces)
 }
 
-// ReadSubBatch fetches the row-packed values of each region (dst[i]
-// must have Box.Size() elements). Served by a concurrent method: it
-// answers even while the device is inside a serial method.
-func (d *ArrayDevice) ReadSubBatch(ctx context.Context, regions []KernelRegion, dst [][]float64) error {
-	if len(dst) != len(regions) {
-		return fmt.Errorf("pagedev: ReadSubBatch: %d buffers for %d regions", len(dst), len(regions))
-	}
-	dec, err := d.client.Call(ctx, d.ref, "readSubBatch", func(e *wire.Encoder) error {
-		e.PutInt(len(regions))
-		for _, r := range regions {
-			putSubBox(e, r.Index, r.Box)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	defer dec.Release()
-	for i := range regions {
-		dec.Float64sInto(dst[i])
-	}
-	return dec.Err()
-}
-
 // PullSubBatchAsync begins an owner-computes transfer: this device
 // overwrites each listed local region with the co-indexed region pulled
 // from the peer device, device-to-device.

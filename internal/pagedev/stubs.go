@@ -344,26 +344,6 @@ func (d *ArrayDevice) ReadPage(ctx context.Context, p *ArrayPage, index int) err
 	return dec.Err()
 }
 
-// ReadPageAsync begins an array page read; decode into a page with
-// DecodeArrayPage.
-func (d *ArrayDevice) ReadPageAsync(ctx context.Context, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "readArray", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		return nil
-	})
-}
-
-// DecodeArrayPage fills p from a completed ReadPageAsync future.
-func DecodeArrayPage(ctx context.Context, fut *rmi.Future, p *ArrayPage) error {
-	dec, err := fut.Wait(ctx)
-	if err != nil {
-		return err
-	}
-	defer dec.Release()
-	dec.Float64sInto(p.Data)
-	return dec.Err()
-}
-
 // WritePage stores p at page index.
 func (d *ArrayDevice) WritePage(ctx context.Context, p *ArrayPage, index int) error {
 	if p.N1 != d.n1 || p.N2 != d.n2 || p.N3 != d.n3 {
@@ -437,6 +417,38 @@ func putSubBox(e *wire.Encoder, index int, box SubBox) {
 	for x := 0; x < 3; x++ {
 		e.PutInt(box.Dim[x])
 	}
+}
+
+// ReadSubAsync begins reading the region box of page index through the
+// device's concurrent readSubBatch method; finish it with DecodeSub.
+// Only the region's values travel.
+func (d *ArrayDevice) ReadSubAsync(ctx context.Context, index int, box SubBox) *rmi.Future {
+	return d.client.CallAsync(ctx, d.ref, "readSubBatch", func(e *wire.Encoder) error {
+		e.PutInt(1)
+		putSubBox(e, index, box)
+		return nil
+	})
+}
+
+// DecodeSub waits for a ReadSubAsync future and hands rows the region's
+// values as row-packed little-endian float64 bytes — the page layout,
+// Dim[0]*Dim[1] runs of 8*Dim[2] bytes. The bytes alias the reply frame
+// and are valid only during the call.
+func DecodeSub(ctx context.Context, fut *rmi.Future, box SubBox, rows func(raw []byte)) error {
+	dec, err := fut.Wait(ctx)
+	if err != nil {
+		return err
+	}
+	defer dec.Release()
+	raw := dec.Float64sView()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if len(raw) != 8*box.Size() {
+		return fmt.Errorf("pagedev: sub-box %v read returned %d values, want %d", box, len(raw)/8, box.Size())
+	}
+	rows(raw)
+	return nil
 }
 
 // WriteSubAsync overlays the region box of page index with vals

@@ -34,11 +34,14 @@ func TestAsyncStubVariants(t *testing.T) {
 	if err := dev.WritePageAsync(bg, page, 1).Err(bg); err != nil {
 		t.Fatalf("WritePageAsync: %v", err)
 	}
-	back := pagedev.NewArrayPage(2, 2, 2)
-	if err := pagedev.DecodeArrayPage(bg, dev.ReadPageAsync(bg, 1), back); err != nil {
-		t.Fatalf("ReadPageAsync: %v", err)
+	whole := pagedev.SubBox{Dim: [3]int{2, 2, 2}}
+	back := make([]float64, whole.Size())
+	if err := pagedev.DecodeSub(bg, dev.ReadSubAsync(bg, 1, whole), whole, func(raw []byte) {
+		_ = pagedev.BytesToFloat64s(back, raw)
+	}); err != nil {
+		t.Fatalf("ReadSubAsync: %v", err)
 	}
-	for i, v := range back.Data {
+	for i, v := range back {
 		if v != 2.5 {
 			t.Fatalf("element %d = %v", i, v)
 		}

@@ -38,9 +38,9 @@
 //     returned by Conn.Recv) and takes ownership of it; Release returns
 //     frame and decoder to their pools. After Release every read returns a
 //     zero value and Err reports ErrReleased.
-//   - Views returned by BytesView/Bytes/StringBytes alias the frame: they
-//     are valid only until Release. Copy (BytesCopy) anything that must
-//     outlive the decode.
+//   - Views returned by BytesView/Bytes/StringBytes/Float64sView alias
+//     the frame: they are valid only until Release. Copy (BytesCopy)
+//     anything that must outlive the decode.
 package wire
 
 import (
@@ -438,7 +438,7 @@ func (d *Decoder) Float64s() []float64 {
 	if d.err != nil {
 		return nil
 	}
-	if uint64(d.Remaining()) < 8*n {
+	if n > uint64(d.Remaining())/8 {
 		d.fail(ErrTruncated)
 		return nil
 	}
@@ -458,11 +458,30 @@ func (d *Decoder) Float64sInto(dst []float64) {
 		d.fail(fmt.Errorf("%w: Float64sInto length %d, want %d", ErrCorrupt, n, len(dst)))
 		return
 	}
-	if uint64(d.Remaining()) < 8*n {
+	if n > uint64(d.Remaining())/8 {
 		d.fail(ErrTruncated)
 		return
 	}
 	d.unpackFloat64s(dst)
+}
+
+// Float64sView reads a value written by PutFloat64s as a view of its
+// packed little-endian bytes (8 per element), without converting or
+// copying — the layout pages are stored in, so bulk array data can move
+// between frames and page buffers with plain copies. Like BytesView the
+// result aliases the frame and is valid only until Release.
+func (d *Decoder) Float64sView() []byte {
+	n := d.Uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(d.Remaining())/8 {
+		d.fail(ErrTruncated)
+		return nil
+	}
+	b := d.buf[d.off : d.off+8*int(n) : d.off+8*int(n)]
+	d.off += 8 * int(n)
+	return b
 }
 
 // unpackFloat64s block-copies len(dst) packed values from the current
@@ -481,7 +500,7 @@ func (d *Decoder) Complex128s() []complex128 {
 	if d.err != nil {
 		return nil
 	}
-	if uint64(d.Remaining()) < 16*n {
+	if n > uint64(d.Remaining())/16 {
 		d.fail(ErrTruncated)
 		return nil
 	}
@@ -501,7 +520,7 @@ func (d *Decoder) Complex128sInto(dst []complex128) {
 		d.fail(fmt.Errorf("%w: Complex128sInto length %d, want %d", ErrCorrupt, n, len(dst)))
 		return
 	}
-	if uint64(d.Remaining()) < 16*n {
+	if n > uint64(d.Remaining())/16 {
 		d.fail(ErrTruncated)
 		return
 	}
